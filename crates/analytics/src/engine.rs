@@ -15,8 +15,7 @@
 //! snapshots its store, gates, and subscriber cursors. A hard kill
 //! reverts both sides together, so the re-drained suffix after sender
 //! reconciliation is absorbed exactly once and the analytics ledger
-//! identity `ingested == aggregated + sketch_absorbed + shed_analytics`
-//! holds across the crash.
+//! identity holds across the crash.
 
 use crate::correlate::{Correlator, GapReport, LinkMap, LinkVerdict};
 use crate::shard::{AnalyticsLedger, ShardWorker};
@@ -263,8 +262,7 @@ impl AnalyticsEngine {
         self.upstream.values().map(|&(_, gaps)| gaps).sum()
     }
 
-    /// The merged analytics ledger across all shards. The identity
-    /// `ingested == aggregated + sketch_absorbed + shed_analytics` holds
+    /// The merged analytics ledger across all shards. The identity holds
     /// per shard and therefore for the sum.
     pub fn ledger(&self) -> AnalyticsLedger {
         let mut total = AnalyticsLedger::default();

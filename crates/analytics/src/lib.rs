@@ -18,9 +18,8 @@
 //! subscribed to the [`Collector`](netseer::recovery::Collector)'s
 //! exactly-once delivery stream, with coordinated checkpoints so the
 //! analytics state survives collector crashes. Every ingested event gets
-//! exactly one disposition, extending the transport's delivery ledger to
-//! the end of the pipeline:
-//! `ingested == aggregated + sketch_absorbed + shed_analytics`.
+//! exactly one disposition in [`AnalyticsLedger`], extending the
+//! transport's delivery ledger to the end of the pipeline.
 
 #![warn(missing_docs)]
 

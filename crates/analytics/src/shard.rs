@@ -1,8 +1,7 @@
 //! One analytics shard: a windowed aggregator plus a Space-Saving sketch,
 //! with a per-shard [`AnalyticsLedger`] that accounts for every ingested
-//! event so nothing disappears silently — the analytics-side extension of
-//! the transport's `generated == delivered + shed + pending +
-//! lost_to_crash` discipline.
+//! event so nothing disappears silently — the analytics-side instance of
+//! the delivery ledger's conservation discipline (DESIGN.md §8).
 
 use crate::topk::SpaceSaving;
 use crate::window::{AggKey, WindowAggregator};
@@ -12,90 +11,42 @@ use netseer::StoredEvent;
 /// enough to keep the merge amortized-cheap per event.
 const REORDER_CHUNK: usize = 256;
 
-/// Disposition accounting for one shard (or, summed, the whole engine).
-///
-/// Identity: `ingested == aggregated + sketch_absorbed + shed_analytics
-/// + late_shed + pending_reorder`.
-///
-/// Every event gets exactly one disposition:
-/// * `aggregated` — the window aggregator accepted it (the common case);
-/// * `sketch_absorbed` — the aggregator's key table was full but the event
-///   is a loss/congestion report, so the top-k sketch (which never
-///   rejects) still captured its flow;
-/// * `shed_analytics` — neither structure could hold it; counted, not lost;
-/// * `late_shed` — arrived behind the event-time watermark by more than
-///   the lateness bound; booked, never silently dropped;
-/// * `pending_reorder` — parked in the event-time reorder buffer, waiting
-///   for the watermark (occupancy, not cumulative; drains to zero on
-///   [`ShardWorker::flush`]).
-///
-/// `late_admitted` is a memo, *outside* the identity: events behind the
-/// watermark but within the lateness bound are admitted and take one of
-/// the three ordinary dispositions; the memo records how many took that
-/// late path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AnalyticsLedger {
-    /// Events handed to the shard.
-    pub ingested: u64,
-    /// Accepted by the window aggregator.
-    pub aggregated: u64,
-    /// Refused by the aggregator, absorbed by the top-k sketch.
-    pub sketch_absorbed: u64,
-    /// Refused by both; accounted as analytics shed.
-    pub shed_analytics: u64,
-    /// Behind the watermark but within the lateness bound: admitted
-    /// anyway (memo — these also count in one of the terms above).
-    pub late_admitted: u64,
-    /// Behind the watermark by more than the lateness bound: shed.
-    pub late_shed: u64,
-    /// Currently parked in the event-time reorder buffer.
-    pub pending_reorder: u64,
-}
-
-impl AnalyticsLedger {
-    fn accounted(&self) -> u64 {
-        self.aggregated
-            + self.sketch_absorbed
-            + self.shed_analytics
-            + self.late_shed
-            + self.pending_reorder
-    }
-
-    /// True when the identity holds.
-    pub fn balanced(&self) -> bool {
-        self.ingested == self.accounted()
-    }
-
-    /// Events unaccounted for (0 when balanced).
-    pub fn missing(&self) -> i64 {
-        self.ingested as i64 - self.accounted() as i64
-    }
-
-    /// Panic with a full breakdown unless balanced.
-    pub fn assert_balanced(&self) {
-        assert!(
-            self.balanced(),
-            "analytics ledger unbalanced: ingested {} != aggregated {} + sketch_absorbed {} \
-             + shed_analytics {} + late_shed {} + pending_reorder {} (missing {})",
-            self.ingested,
-            self.aggregated,
-            self.sketch_absorbed,
-            self.shed_analytics,
-            self.late_shed,
-            self.pending_reorder,
-            self.missing()
-        );
-    }
-
-    /// Sum another ledger into this one.
-    pub fn absorb(&mut self, other: &AnalyticsLedger) {
-        self.ingested += other.ingested;
-        self.aggregated += other.aggregated;
-        self.sketch_absorbed += other.sketch_absorbed;
-        self.shed_analytics += other.shed_analytics;
-        self.late_admitted += other.late_admitted;
-        self.late_shed += other.late_shed;
-        self.pending_reorder += other.pending_reorder;
+netseer::ledger! {
+    /// Disposition accounting for one shard (or, summed, the whole engine).
+    ///
+    /// Identity: `ingested` equals the sum of the other terms except the
+    /// `late_admitted` memo (the term table is DESIGN.md §8). Every event
+    /// gets exactly one disposition; `pending_reorder` is occupancy, not
+    /// cumulative, and drains to zero on [`ShardWorker::flush`].
+    ///
+    /// `late_admitted` is a memo, *outside* the identity: events behind the
+    /// watermark but within the lateness bound are admitted and take one of
+    /// the three ordinary dispositions; the memo records how many took that
+    /// late path.
+    pub struct AnalyticsLedger {
+        /// Events handed to the shard.
+        ingested: Source, "fet_analytics_ingested_total",
+            "Events handed to the analytics shards.";
+        /// Accepted by the window aggregator (the common case).
+        aggregated: Terminal, "fet_analytics_aggregated_total",
+            "Events accepted by the window aggregators.";
+        /// Refused by the aggregator (its key table was full), absorbed by
+        /// the top-k sketch — which never rejects loss/congestion reports.
+        sketch_absorbed: Terminal, "fet_analytics_sketch_absorbed_total",
+            "Events absorbed by the top-k sketches past the aggregator caps.";
+        /// Refused by both; accounted as analytics shed.
+        shed_analytics: Terminal, "fet_analytics_shed_total",
+            "Events refused by both aggregator and sketch (counted shed).";
+        /// Behind the watermark but within the lateness bound: admitted
+        /// anyway (memo — these also count in one of the terms above).
+        late_admitted: Memo, "fet_time_late_admitted_total",
+            "Late events admitted within the lateness bound (also disposed normally).";
+        /// Behind the watermark by more than the lateness bound: shed.
+        late_shed: Terminal, "fet_time_late_shed_total",
+            "Events older than the watermark's lateness bound, shed with account.";
+        /// Currently parked in the event-time reorder buffer.
+        pending_reorder: Occupancy, "fet_time_pending_reorder",
+            "Events held in the event-time reorder buffers, awaiting the watermark.";
     }
 }
 
@@ -439,20 +390,5 @@ mod tests {
         s.ledger.assert_balanced();
         assert_eq!(s.ledger.aggregated, 4);
         assert_eq!(s.ledger.late_shed, 0);
-    }
-
-    #[test]
-    fn ledger_absorb_sums_shards() {
-        let mut a = AnalyticsLedger {
-            ingested: 3,
-            aggregated: 2,
-            sketch_absorbed: 1,
-            ..Default::default()
-        };
-        let b =
-            AnalyticsLedger { ingested: 2, aggregated: 1, shed_analytics: 1, ..Default::default() };
-        a.absorb(&b);
-        assert_eq!(a.ingested, 5);
-        a.assert_balanced();
     }
 }

@@ -8,8 +8,6 @@
 //!   event streams;
 //! * the Space-Saving sketch's per-entry error bounds and the `W / k`
 //!   presence guarantee hold on arbitrary skewed streams;
-//! * the extended ledger identity `ingested == aggregated +
-//!   sketch_absorbed + shed_analytics` holds under arbitrary (tiny) caps;
 //! * totals and the ledger are invariant under the shard count.
 
 use fet_analytics::{AggKey, AnalyticsConfig, AnalyticsEngine, LinkMap, SpaceSaving, WindowStats};
@@ -143,42 +141,6 @@ proptest! {
             prop_assert_eq!(e.error, 0, "no eviction, no error");
             prop_assert_eq!(Some(&e.count), truth.get(&e.flow));
         }
-    }
-
-    /// The extended ledger identity holds under arbitrarily tiny budgets,
-    /// interesting events are never shed (the sketch always takes them),
-    /// and generous key budgets shed nothing.
-    #[test]
-    fn ledger_identity_under_tiny_caps(
-        raw in stream_strategy(300),
-        shards in 1usize..5,
-        max_agg_keys in 1usize..6,
-        topk_k in 1usize..6,
-    ) {
-        let events: Vec<StoredEvent> =
-            raw.iter().map(|&(t, d, f, c, w)| ev(t, d, f, c, w)).collect();
-        let cfg = AnalyticsConfig {
-            shards,
-            max_agg_keys,
-            topk_k,
-            ..AnalyticsConfig::default()
-        };
-        let mut engine = AnalyticsEngine::new(cfg, LinkMap::default());
-        engine.ingest_slice(&events);
-
-        let ledger = engine.ledger();
-        ledger.assert_balanced();
-        prop_assert_eq!(ledger.ingested, events.len() as u64);
-        let boring = events
-            .iter()
-            .filter(|e| !e.record.ty.is_drop() && e.record.ty != EventType::Congestion)
-            .count() as u64;
-        prop_assert!(
-            ledger.shed_analytics <= boring,
-            "shed {} > boring events {}; an interesting event was shed",
-            ledger.shed_analytics,
-            boring
-        );
     }
 
     /// Cumulative totals and the ledger do not depend on the shard count.

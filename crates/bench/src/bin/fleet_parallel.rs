@@ -16,7 +16,7 @@ use fet_netsim::time::{MICROS, MILLIS};
 use fet_netsim::topology::{build_fat_tree, FatTree, FatTreeParams};
 use fet_netsim::Simulator;
 use fet_packet::FlowKey;
-use netseer::deploy::{delivered_history, deploy, monitor_of, DeployOptions};
+use netseer::deploy::{delivered_history, deploy, fleet_ledger, monitor_of, DeployOptions};
 use netseer::{DeliveryLedger, NetSeerConfig, StoredEvent};
 use std::time::Instant;
 
@@ -77,27 +77,6 @@ struct Outcome {
     pkts: u64,
     secs: f64,
     sync: fet_netsim::SyncStats,
-}
-
-fn fleet_ledger(sim: &Simulator) -> DeliveryLedger {
-    let mut total = DeliveryLedger::default();
-    let ids: Vec<u32> = sim.switch_ids().into_iter().chain(sim.host_ids()).collect();
-    for id in ids {
-        let l = monitor_of(sim, id).ledger();
-        l.assert_balanced();
-        total.generated += l.generated;
-        total.delivered += l.delivered;
-        total.shed_stack += l.shed_stack;
-        total.shed_pcie += l.shed_pcie;
-        total.shed_cpu_overload += l.shed_cpu_overload;
-        total.shed_false_positive += l.shed_false_positive;
-        total.shed_transport += l.shed_transport;
-        total.pending += l.pending;
-        total.buffered += l.buffered;
-        total.lost_to_crash += l.lost_to_crash;
-        total.corrupted += l.corrupted;
-    }
-    total
 }
 
 fn run(shards: usize) -> Outcome {

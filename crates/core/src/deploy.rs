@@ -64,63 +64,39 @@ pub fn deploy(sim: &mut Simulator, opts: &DeployOptions) {
 /// Call after the simulation run.
 pub fn collect_events(sim: &mut Simulator) -> EventStore {
     let mut store = EventStore::new();
-    let ids: Vec<NodeId> = (0..sim.nodes.len() as NodeId).collect();
-    for id in ids {
-        let mon = match &mut sim.nodes[id as usize] {
-            Node::Switch(s) => s.monitor.as_mut(),
-            Node::Host(h) => h.monitor.as_mut(),
+    store.extend(delivered_history(sim));
+    store
+}
+
+/// Every attached NetSeer monitor, in node order.
+pub fn netseer_monitors(sim: &Simulator) -> impl Iterator<Item = &NetSeerMonitor> {
+    sim.nodes.iter().filter_map(|node| {
+        let m = match node {
+            Node::Switch(s) => s.monitor.as_ref(),
+            Node::Host(h) => h.monitor.as_ref(),
             Node::Vacant => None,
         };
-        if let Some(m) = mon {
-            if let Some(ns) = m.as_any_mut().downcast_mut::<NetSeerMonitor>() {
-                store.extend(ns.delivered.iter().copied());
-            }
-        }
-    }
-    store
+        m?.as_any().downcast_ref::<NetSeerMonitor>()
+    })
 }
 
 /// Every monitor's delivered history, read-only (no monitor mutation, so
 /// callable mid-run): the at-least-once replay source the analytics layer
 /// reconciles from after a collector crash.
 pub fn delivered_history(sim: &Simulator) -> Vec<crate::storage::StoredEvent> {
-    let mut out = Vec::new();
-    for node in &sim.nodes {
-        let mon = match node {
-            Node::Switch(s) => s.monitor.as_ref(),
-            Node::Host(h) => h.monitor.as_ref(),
-            Node::Vacant => None,
-        };
-        if let Some(m) = mon {
-            if let Some(ns) = m.as_any().downcast_ref::<NetSeerMonitor>() {
-                out.extend(ns.delivered.iter().copied());
-            }
-        }
-    }
-    out
+    netseer_monitors(sim).flat_map(|ns| ns.delivered.iter().copied()).collect()
 }
 
 /// Scrape every monitor's per-port gap-detector counts:
 /// `(device, ingress port, gaps)`, sorted. The downstream half of the
 /// analytics correlator's link-loss join.
 pub fn gap_reports(sim: &Simulator) -> Vec<(u32, u8, u64)> {
-    let mut out = Vec::new();
-    for node in &sim.nodes {
-        let mon = match node {
-            Node::Switch(s) => s.monitor.as_ref(),
-            Node::Host(h) => h.monitor.as_ref(),
-            Node::Vacant => None,
-        };
-        if let Some(m) = mon {
-            if let Some(ns) = m.as_any().downcast_ref::<NetSeerMonitor>() {
-                for (port, gaps) in ns.gap_counts() {
-                    if gaps > 0 {
-                        out.push((ns.device(), port, gaps));
-                    }
-                }
-            }
-        }
-    }
+    let mut out: Vec<(u32, u8, u64)> = netseer_monitors(sim)
+        .flat_map(|ns| {
+            ns.gap_counts().into_iter().map(move |(port, gaps)| (ns.device(), port, gaps))
+        })
+        .filter(|&(_, _, gaps)| gaps > 0)
+        .collect();
     out.sort_unstable();
     out
 }
@@ -156,30 +132,10 @@ pub fn monitor_of_mut(sim: &mut Simulator, id: NodeId) -> &mut NetSeerMonitor {
 /// is too — the fleet-wide conservation identity the exporters publish.
 pub fn fleet_ledger(sim: &Simulator) -> crate::DeliveryLedger {
     let mut total = crate::DeliveryLedger::default();
-    for node in &sim.nodes {
-        let mon = match node {
-            Node::Switch(s) => s.monitor.as_ref(),
-            Node::Host(h) => h.monitor.as_ref(),
-            Node::Vacant => None,
-        };
-        if let Some(m) = mon {
-            if let Some(ns) = m.as_any().downcast_ref::<NetSeerMonitor>() {
-                let l = ns.ledger();
-                l.assert_balanced();
-                total.generated += l.generated;
-                total.delivered += l.delivered;
-                total.shed_stack += l.shed_stack;
-                total.shed_pcie += l.shed_pcie;
-                total.shed_cpu_overload += l.shed_cpu_overload;
-                total.shed_false_positive += l.shed_false_positive;
-                total.shed_transport += l.shed_transport;
-                total.pending += l.pending;
-                total.buffered += l.buffered;
-                total.lost_to_crash += l.lost_to_crash;
-                total.corrupted += l.corrupted;
-                total.malformed += l.malformed;
-            }
-        }
+    for ns in netseer_monitors(sim) {
+        let l = ns.ledger();
+        l.assert_balanced();
+        total.absorb(&l);
     }
     total
 }
@@ -207,22 +163,13 @@ pub struct FleetStats {
 /// Aggregate [`FleetStats`] across every attached monitor.
 pub fn fleet_stats(sim: &Simulator) -> FleetStats {
     let mut total = FleetStats::default();
-    for node in &sim.nodes {
-        let mon = match node {
-            Node::Switch(s) => s.monitor.as_ref(),
-            Node::Host(h) => h.monitor.as_ref(),
-            Node::Vacant => None,
-        };
-        if let Some(m) = mon {
-            if let Some(ns) = m.as_any().downcast_ref::<NetSeerMonitor>() {
-                total.crc_failures += ns.cebp_crc_failures;
-                total.wal_records_rejected += ns.recovery.wal_records_rejected;
-                total.flushes_skipped += ns.batcher.flushes_skipped;
-                total.retransmissions += ns.transport.retransmissions;
-                total.notification_copies_dropped += ns.notification_copies_dropped;
-                total.restarts += ns.recovery.restarts;
-            }
-        }
+    for ns in netseer_monitors(sim) {
+        total.crc_failures += ns.cebp_crc_failures;
+        total.wal_records_rejected += ns.recovery.wal_records_rejected;
+        total.flushes_skipped += ns.batcher.flushes_skipped;
+        total.retransmissions += ns.transport.retransmissions;
+        total.notification_copies_dropped += ns.notification_copies_dropped;
+        total.restarts += ns.recovery.restarts;
     }
     total
 }

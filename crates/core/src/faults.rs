@@ -15,9 +15,9 @@
 //!    reproduces the same run bit-for-bit.
 //!
 //! 2. [`DeliveryLedger`] — the pipeline-wide accounting invariant:
-//!    `generated == delivered + shed + pending + lost_to_crash +
-//!    corrupted`, where every shed event is attributed to a named choke
-//!    point. Any imbalance is a silent-loss bug.
+//!    `generated` equals the sum of the disposition terms (DESIGN.md §8),
+//!    where every shed event is attributed to a named choke point. Any
+//!    imbalance is a silent-loss bug.
 //!
 //! The plan is pure data ([`Clone`], [`Default`]); per-concern runtime
 //! state (Gilbert–Elliott channel state, RNG streams) lives in
@@ -326,111 +326,81 @@ pub fn event_priority(ty: fet_packet::event::EventType) -> u8 {
     }
 }
 
-/// The end-to-end accounting snapshot for one monitor's reporting pipeline.
-///
-/// Invariant: `generated == delivered + shed_total() + pending + buffered +
-/// lost_to_crash + corrupted + malformed`. The pipeline may legitimately
-/// hold events in flight (`pending`), park them in the collector's durable
-/// spill buffer (`buffered`), shed them at a counted choke point, lose a
-/// bounded tail to a hard crash, lose a batch to unrecoverable wire
-/// corruption, or refuse undecodable wire-ingest records (`malformed`) —
-/// but it must never lose one silently.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeliveryLedger {
-    /// Event records handed to the reporting path (post-dedup).
-    pub generated: u64,
-    /// Events that reached the backend (or a NIC's local log).
-    pub delivered: u64,
-    /// Shed: in-pipeline stack overflow.
-    pub shed_stack: u64,
-    /// Shed: PCIe rejection.
-    pub shed_pcie: u64,
-    /// Shed: CPU overload controller.
-    pub shed_cpu_overload: u64,
-    /// Shed: CPU false-positive elimination (deliberate).
-    pub shed_false_positive: u64,
-    /// Shed: transport retry budget exhausted.
-    pub shed_transport: u64,
-    /// Events still in flight (batcher stack + open CEBP).
-    pub pending: u64,
-    /// Events parked in the collector's durable spill buffer: delivered to
-    /// the backend host but not yet applied to the queryable store (the
-    /// collector was past its memory watermark and wrote them to disk
-    /// instead of shedding). They drain to `delivered` as the backlog
-    /// clears; see `netseer::spill`.
-    pub buffered: u64,
-    /// Events lost to a hard kill: they were pending when the un-fsynced
-    /// WAL tail vanished, so replay could not resurrect them. Bounded by
-    /// the checkpoint/fsync window; 0 for clean stops.
-    pub lost_to_crash: u64,
-    /// Events whose report batch failed its CRC-32C trailer on every
-    /// transmission attempt (implicit-NACK retransmits included) — the
-    /// poison copies are quarantined at the collector, never silently
-    /// dropped, and the terminal count lands here.
-    pub corrupted: u64,
-    /// Wire-ingest records an exporter claimed but the collector could not
-    /// decode: truncated record tails, count lies, data sets referencing
-    /// unknown templates. The offending datagrams are quarantined with a
-    /// per-reason breakdown (`netseer::wire`); the terminal record count
-    /// lands here. Always 0 for simulator-born events.
-    pub malformed: u64,
+crate::ledger! {
+    /// The end-to-end accounting snapshot for one monitor's reporting pipeline.
+    ///
+    /// Invariant: `generated` equals the sum of every other term (the term
+    /// table is DESIGN.md §8). The pipeline may legitimately hold events in
+    /// flight (`pending`), park them in the collector's durable spill
+    /// buffer (`buffered`), shed them at a counted choke point, lose a
+    /// bounded tail to a hard crash, lose a batch to unrecoverable wire
+    /// corruption, or refuse undecodable wire-ingest records (`malformed`)
+    /// — but it must never lose one silently.
+    pub struct DeliveryLedger {
+        /// Event records handed to the reporting path (post-dedup).
+        generated: Source, "fet_events_generated_total",
+            "Event records handed to the reporting path (post-dedup).";
+        /// Events that reached the backend (or a NIC's local log).
+        delivered: Terminal, "fet_events_delivered_total",
+            "Events that reached the backend store.";
+        /// Shed: in-pipeline stack overflow.
+        shed_stack: Terminal, "fet_events_shed_total", reason = "stack",
+            "Events shed at a named, counted choke point.";
+        /// Shed: PCIe rejection.
+        shed_pcie: Terminal, "fet_events_shed_total", reason = "pcie",
+            "Events shed at a named, counted choke point.";
+        /// Shed: CPU overload controller.
+        shed_cpu_overload: Terminal, "fet_events_shed_total", reason = "cpu_overload",
+            "Events shed at a named, counted choke point.";
+        /// Shed: CPU false-positive elimination (deliberate).
+        shed_false_positive: Terminal, "fet_events_shed_total", reason = "false_positive",
+            "Events shed at a named, counted choke point.";
+        /// Shed: transport retry budget exhausted.
+        shed_transport: Terminal, "fet_events_shed_total", reason = "transport",
+            "Events shed at a named, counted choke point.";
+        /// Events still in flight (batcher stack + open CEBP).
+        pending: Occupancy, "fet_events_pending",
+            "Events still in flight (batcher stack + open CEBP).";
+        /// Events parked in the collector's durable spill buffer: delivered to
+        /// the backend host but not yet applied to the queryable store (the
+        /// collector was past its memory watermark and wrote them to disk
+        /// instead of shedding). They drain to `delivered` as the backlog
+        /// clears; see `netseer::spill`.
+        buffered: Occupancy, "fet_events_buffered",
+            "Events parked in the collector's durable spill buffer.";
+        /// Events lost to a hard kill: they were pending when the un-fsynced
+        /// WAL tail vanished, so replay could not resurrect them. Bounded by
+        /// the checkpoint/fsync window; 0 for clean stops.
+        lost_to_crash: Terminal, "fet_events_lost_to_crash_total",
+            "Events lost to hard kills (bounded by the fsync window).";
+        /// Events whose report batch failed its CRC-32C trailer on every
+        /// transmission attempt (implicit-NACK retransmits included) — the
+        /// poison copies are quarantined at the collector, never silently
+        /// dropped, and the terminal count lands here.
+        corrupted: Terminal, "fet_events_corrupted_total",
+            "Events whose report failed CRC on every transmission attempt.";
+        /// Wire-ingest records an exporter claimed but the collector could not
+        /// decode: truncated record tails, count lies, data sets referencing
+        /// unknown templates. The offending datagrams are quarantined with a
+        /// per-reason breakdown (`netseer::wire`); the terminal record count
+        /// lands here. Always 0 for simulator-born events.
+        malformed: Terminal, "fet_events_malformed_total",
+            "Wire-claimed records the collector could not decode.";
+    }
 }
 
 impl DeliveryLedger {
-    /// Total events shed across all categories.
+    /// Total events shed across all categories: every term exported under
+    /// a `reason` label.
     pub fn shed_total(&self) -> u64 {
-        self.shed_stack
-            + self.shed_pcie
-            + self.shed_cpu_overload
-            + self.shed_false_positive
-            + self.shed_transport
-    }
-
-    /// Everything a generated event is allowed to have become.
-    fn accounted(&self) -> u64 {
-        self.delivered
-            + self.shed_total()
-            + self.pending
-            + self.buffered
-            + self.lost_to_crash
-            + self.corrupted
-            + self.malformed
-    }
-
-    /// Does the exactly-once-or-counted invariant hold?
-    /// `generated == delivered + shed + pending + buffered + lost_to_crash
-    /// + corrupted + malformed`, across any number of crash/restart cycles.
-    pub fn balanced(&self) -> bool {
-        self.generated == self.accounted()
-    }
-
-    /// Events unaccounted for (0 on a healthy pipeline). A positive value
-    /// means silent loss; negative (reported as 0 here, see `surplus`)
-    /// would mean double delivery.
-    pub fn missing(&self) -> u64 {
-        self.generated.saturating_sub(self.accounted())
-    }
-
-    /// Events delivered or shed beyond what was generated (double counting).
-    pub fn surplus(&self) -> u64 {
-        self.accounted().saturating_sub(self.generated)
-    }
-
-    /// Panic with a full breakdown unless the invariant holds.
-    pub fn assert_balanced(&self) {
-        assert!(
-            self.balanced(),
-            "delivery ledger imbalance (silent loss or double count): {self:?} \
-             missing={} surplus={}",
-            self.missing(),
-            self.surplus()
-        );
+        crate::ledger::Ledger::total(self, |t| t.reason.is_some())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ledger::Ledger;
     use fet_packet::event::EventType;
 
     #[test]
@@ -515,43 +485,6 @@ mod tests {
     }
 
     #[test]
-    fn ledger_balance_and_breakdown() {
-        let mut l = DeliveryLedger { generated: 100, delivered: 80, ..Default::default() };
-        assert!(!l.balanced());
-        assert_eq!(l.missing(), 20);
-        l.shed_stack = 5;
-        l.shed_transport = 10;
-        l.pending = 5;
-        l.assert_balanced();
-        assert_eq!(l.shed_total(), 15);
-        l.delivered += 1; // double delivery must also trip the invariant
-        assert!(!l.balanced());
-        assert_eq!(l.surplus(), 1);
-    }
-
-    #[test]
-    fn ledger_counts_corruption_separately() {
-        let l = DeliveryLedger {
-            generated: 100,
-            delivered: 90,
-            pending: 3,
-            lost_to_crash: 4,
-            corrupted: 3,
-            ..Default::default()
-        };
-        l.assert_balanced();
-        assert_eq!(l.missing(), 0);
-        let silent = DeliveryLedger {
-            generated: 100,
-            delivered: 90,
-            pending: 3,
-            lost_to_crash: 4,
-            ..Default::default()
-        };
-        assert_eq!(silent.missing(), 3, "uncounted corruption must show as silent loss");
-    }
-
-    #[test]
     fn corruption_plan_defaults_inactive() {
         let p = FaultPlan::none();
         assert!(!p.cebp_corruption.is_active());
@@ -562,50 +495,17 @@ mod tests {
     }
 
     #[test]
-    fn ledger_counts_crash_losses_separately() {
-        let l = DeliveryLedger {
-            generated: 100,
-            delivered: 90,
-            pending: 4,
-            lost_to_crash: 6,
-            ..Default::default()
-        };
-        l.assert_balanced();
-        assert_eq!(l.missing(), 0);
-        let silent = DeliveryLedger { generated: 100, delivered: 94, ..Default::default() };
-        assert_eq!(silent.missing(), 6, "without lost_to_crash the same run shows silent loss");
-    }
-
-    #[test]
-    fn ledger_counts_malformed_separately() {
-        let l = DeliveryLedger {
-            generated: 100,
-            delivered: 88,
-            pending: 2,
-            malformed: 10,
-            ..Default::default()
-        };
-        l.assert_balanced();
-        assert_eq!(l.missing(), 0);
-        let silent =
-            DeliveryLedger { generated: 100, delivered: 88, pending: 2, ..Default::default() };
-        assert_eq!(silent.missing(), 10, "uncounted malformed records must show as silent loss");
-    }
-
-    #[test]
-    fn ledger_counts_buffered_separately() {
-        let l = DeliveryLedger {
-            generated: 100,
-            delivered: 80,
-            pending: 5,
-            buffered: 15,
-            ..Default::default()
-        };
-        l.assert_balanced();
-        assert_eq!(l.missing(), 0);
-        let silent =
-            DeliveryLedger { generated: 100, delivered: 80, pending: 5, ..Default::default() };
-        assert_eq!(silent.missing(), 15, "spill-resident events must be accounted as buffered");
+    fn every_disposition_term_counts_separately() {
+        // Each disposition term balances the ledger on its own; the same
+        // run without it shows as exactly that much silent loss.
+        let terms = DeliveryLedger::TERMS.iter().enumerate();
+        for (i, t) in terms.filter(|(_, t)| t.kind.is_disposition()) {
+            let mut l = DeliveryLedger { generated: 100, delivered: 90, ..Default::default() };
+            *l.values_mut().nth(i).unwrap() += 10;
+            l.assert_balanced();
+            *l.values_mut().nth(i).unwrap() -= 10;
+            assert_eq!(l.missing(), 10, "uncounted {} must show as silent loss", t.field);
+        }
     }
 
     #[test]

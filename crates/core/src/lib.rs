@@ -75,6 +75,7 @@ pub mod deploy;
 pub mod detect;
 pub mod extract;
 pub mod faults;
+pub mod ledger;
 pub mod monitor;
 pub mod recovery;
 pub mod spill;
@@ -89,6 +90,7 @@ pub use faults::{
     CollectorCrash, CorruptionGen, CorruptionSpec, CrashKind, DeliveryLedger, DeviceCrash,
     FaultPlan, LossProcess, Window,
 };
+pub use ledger::{Ledger, Term, TermKind};
 pub use monitor::{NetSeerMonitor, Role};
 pub use recovery::{
     run_collector_crash_drill, schedule_device_crashes, Collector, CrashLog, CrashReport,

@@ -294,12 +294,12 @@ impl NetSeerMonitor {
             shed_false_positive: self.cpu.fp_eliminated,
             shed_transport: self.transport_failed_events,
             pending: self.batcher.backlog() as u64,
-            buffered: 0,
             lost_to_crash: self.recovery.lost_to_crash,
             corrupted: self.corrupted_events,
-            // Monitors emit simulator-born events; only wire ingestion
-            // (crate::wire) books malformed records.
-            malformed: 0,
+            // `buffered` is the collector's term (see
+            // `Collector::refine_fleet_ledger`), and only wire ingestion
+            // (crate::wire) books `malformed` records.
+            ..DeliveryLedger::default()
         }
     }
 

@@ -517,7 +517,9 @@ pub struct PoisonFrame {
 /// it indexes into.
 #[derive(Debug, Clone, Default)]
 struct CollectorCheckpoint {
-    store: EventStore,
+    /// Store length: ingestion is insert-only, so the checkpointed store
+    /// is always this prefix of the live one.
+    len: usize,
     gates: HashMap<u32, EpochReceiver>,
     cursors: HashMap<u32, usize>,
 }
@@ -654,9 +656,7 @@ impl Collector {
 
     /// Re-bucket a fleet [`DeliveryLedger`] for this collector's view:
     /// deliveries currently parked in the spill move from `delivered`
-    /// into `buffered`, keeping the extended identity `generated ==
-    /// delivered + shed + pending + buffered + lost_to_crash + corrupted`
-    /// exact end to end.
+    /// into `buffered`, keeping the ledger identity exact end to end.
     pub fn refine_fleet_ledger(&self, ledger: &mut DeliveryLedger) {
         let buffered = self.spill.pending();
         ledger.delivered = ledger.delivered.saturating_sub(buffered);
@@ -670,7 +670,7 @@ impl Collector {
     /// spill replays exactly the records applied since it.
     pub fn checkpoint(&mut self) {
         self.checkpoint = Some(CollectorCheckpoint {
-            store: self.store.clone(),
+            len: self.store.len(),
             gates: self.gates.clone(),
             cursors: self.subscribers.clone(),
         });
@@ -691,11 +691,10 @@ impl Collector {
         }
         let before = self.store.len();
         let cp = self.checkpoint.clone().unwrap_or_default();
-        self.store = cp.store;
+        self.store.truncate(cp.len);
         self.gates = cp.gates;
         // Subscribers registered after the checkpoint keep their id but
-        // rewind to the surviving prefix (the checkpoint store is always a
-        // prefix of the pre-kill store: ingestion is insert-only).
+        // rewind to the surviving prefix.
         for (id, cursor) in self.subscribers.iter_mut() {
             *cursor = cp.cursors.get(id).copied().unwrap_or(*cursor).min(self.store.len());
         }

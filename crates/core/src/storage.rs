@@ -73,9 +73,10 @@ impl Query {
     }
 }
 
-/// Indexed event store. `Clone` is deliberate: the collector's crash
-/// model checkpoints the store by value and reverts to the clone on a
-/// hard kill (see [`crate::recovery::Collector`]).
+/// Indexed, insert-only event store. Every earlier state is a prefix, so
+/// the collector's crash model checkpoints a length and reverts a hard
+/// kill with [`truncate`](Self::truncate) (see
+/// [`crate::recovery::Collector`]).
 #[derive(Debug, Clone, Default)]
 pub struct EventStore {
     events: Vec<StoredEvent>,
@@ -100,6 +101,28 @@ impl EventStore {
         self.by_device.entry(e.device).or_default().push(i);
         self.by_time.entry(e.time_ns).or_default().push(i);
         self.events.push(e);
+    }
+
+    /// Drop every event from position `len` on. Positions are pushed in
+    /// ascending order, so walking the dropped events newest-first pops
+    /// each one off the tail of its index lists: O(dropped), not O(len).
+    pub fn truncate(&mut self, len: usize) {
+        fn pop_last(v: Option<&mut Vec<usize>>) -> bool {
+            let v = v.expect("every stored event is indexed");
+            v.pop();
+            v.is_empty()
+        }
+        for e in self.events.drain(len.min(self.events.len())..).rev() {
+            if pop_last(self.by_flow.get_mut(&e.record.flow)) {
+                self.by_flow.remove(&e.record.flow);
+            }
+            if pop_last(self.by_device.get_mut(&e.device)) {
+                self.by_device.remove(&e.device);
+            }
+            if pop_last(self.by_time.get_mut(&e.time_ns)) {
+                self.by_time.remove(&e.time_ns);
+            }
+        }
     }
 
     /// Bulk insert.

@@ -20,10 +20,9 @@
 //!   [`Collector::quarantine_poison`] and counted per
 //!   [`RejectReason`].
 //!
-//! The extended identity `generated == delivered + shed + pending +
-//! buffered + lost_to_crash + corrupted + malformed` holds exactly for
-//! wire-sourced events; the chaos and determinism harnesses assert it
-//! under hostile-exporter storms.
+//! The delivery-ledger identity holds exactly for wire-sourced events;
+//! the chaos and determinism harnesses assert it under hostile-exporter
+//! storms.
 
 use crate::recovery::{Collector, PoisonFrame};
 use crate::storage::StoredEvent;
@@ -83,10 +82,9 @@ pub struct WireIngest {
     session: WireSession,
     devices: BTreeMap<(u16, u32), u32>,
     next_seq: BTreeMap<u32, u64>,
-    generated: u64,
-    delivered: u64,
-    shed: u64,
-    malformed: u64,
+    /// Records booked so far, before spill occupancy is re-bucketed:
+    /// spill-full refusals land in `shed_cpu_overload`.
+    booked: DeliveryLedger,
 }
 
 impl WireIngest {
@@ -97,10 +95,7 @@ impl WireIngest {
             cfg,
             devices: BTreeMap::new(),
             next_seq: BTreeMap::new(),
-            generated: 0,
-            delivered: 0,
-            shed: 0,
-            malformed: 0,
+            booked: DeliveryLedger::default(),
         }
     }
 
@@ -137,8 +132,8 @@ impl WireIngest {
         now_ns: u64,
     ) -> WireAdmission {
         let report = self.session.ingest(datagram, now_ns);
-        self.generated += report.claimed();
-        self.malformed += report.malformed;
+        self.booked.generated += report.claimed();
+        self.booked.malformed += report.malformed;
 
         if let Some(reason) = report.rejected {
             let keep = datagram.len().min(self.cfg.quarantine_prefix);
@@ -182,8 +177,8 @@ impl WireIngest {
 
         // Admitted to memory or parked on disk both count as delivered;
         // ledger() re-buckets current spill occupancy into `buffered`.
-        self.delivered += admitted + spilled;
-        self.shed += refused;
+        self.booked.delivered += admitted + spilled;
+        self.booked.shed_cpu_overload += refused;
         WireAdmission { report, admitted, spilled, refused, device }
     }
 
@@ -207,35 +202,29 @@ impl WireIngest {
     /// from `delivered` into `buffered`, so the extended identity holds
     /// exactly at any instant.
     pub fn ledger(&self, collector: &Collector) -> DeliveryLedger {
-        let mut ledger = DeliveryLedger {
-            generated: self.generated,
-            delivered: self.delivered,
-            shed_cpu_overload: self.shed,
-            malformed: self.malformed,
-            ..Default::default()
-        };
+        let mut ledger = self.booked;
         collector.refine_fleet_ledger(&mut ledger);
         ledger
     }
 
     /// Records decoded and admitted (memory + spill) so far.
     pub fn delivered(&self) -> u64 {
-        self.delivered
+        self.booked.delivered
     }
 
     /// Records booked as malformed so far.
     pub fn malformed(&self) -> u64 {
-        self.malformed
+        self.booked.malformed
     }
 
     /// Records refused at the spill-full choke point so far.
     pub fn shed(&self) -> u64 {
-        self.shed
+        self.booked.shed_cpu_overload
     }
 
     /// Every record that entered wire accounting.
     pub fn generated(&self) -> u64 {
-        self.generated
+        self.booked.generated
     }
 
     /// Clock lies booked per [`fet_wire::ClockLie::index`].

@@ -228,71 +228,3 @@ fn netseer_test_event(n: u32) -> fet_packet::event::EventRecord {
         hash: n,
     }
 }
-
-proptest! {
-    /// EventStore queries return exactly what a naive scan returns, for
-    /// arbitrary event sets and filters.
-    #[test]
-    fn store_query_matches_naive_scan(
-        events in proptest::collection::vec(
-            (0u64..1_000, 0u32..4, 0u32..8, 1u8..=6),
-            0..100,
-        ),
-        q_flow in proptest::option::of(0u32..8),
-        q_device in proptest::option::of(0u32..4),
-        q_ty in proptest::option::of(1u8..=6),
-        window in proptest::option::of((0u64..500, 500u64..1_000)),
-    ) {
-        use netseer::storage::{EventStore, Query, StoredEvent};
-        use fet_packet::event::{EventDetail, EventRecord, EventType};
-
-        let mk = |t: u64, dev: u32, fl: u32, ty_code: u8| StoredEvent {
-            time_ns: t,
-            device: dev,
-            epoch: 0,
-            seq: t,
-            record: EventRecord {
-                ty: EventType::from_code(ty_code).unwrap(),
-                flow: flow(fl),
-                detail: EventDetail::Pause { egress_port: 0, queue: 0 },
-                counter: 1,
-                hash: fl,
-            },
-        };
-        let all: Vec<StoredEvent> =
-            events.iter().map(|&(t, d, f, c)| mk(t, d, f, c)).collect();
-        let mut store = EventStore::new();
-        store.extend(all.iter().copied());
-
-        let mut q = Query::any();
-        if let Some(f) = q_flow {
-            q = q.flow(flow(f));
-        }
-        if let Some(d) = q_device {
-            q = q.device(d);
-        }
-        if let Some(c) = q_ty {
-            q = q.ty(EventType::from_code(c).unwrap());
-        }
-        if let Some((a, b)) = window {
-            q = q.window(a, b);
-        }
-        let got: Vec<StoredEvent> = store.query(&q).into_iter().copied().collect();
-        let want: Vec<StoredEvent> = all
-            .iter()
-            .filter(|e| q_flow.is_none_or(|f| e.record.flow == flow(f)))
-            .filter(|e| q_device.is_none_or(|d| e.device == d))
-            .filter(|e| {
-                q_ty.is_none_or(|c| e.record.ty == EventType::from_code(c).unwrap())
-            })
-            .filter(|e| window.is_none_or(|(a, b)| e.time_ns >= a && e.time_ns < b))
-            .copied()
-            .collect();
-        // Same multiset; the indexed path may reorder.
-        let norm = |mut v: Vec<StoredEvent>| {
-            v.sort_by_key(|e| (e.time_ns, e.device, e.record.flow, e.record.ty.code()));
-            v
-        };
-        prop_assert_eq!(norm(got), norm(want));
-    }
-}

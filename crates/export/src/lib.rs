@@ -21,9 +21,10 @@
 //!   published at quiescent points ([`server::SnapshotHandle`]) — never
 //!   a torn read mid-pump.
 //! * **Closed-loop**: the mixed sim/real replay ([`replay`]) merges a
-//!   simulated faulted fleet with captured hostile NetFlow bytes and
-//!   asserts the conservation identity *from the Prometheus output
-//!   itself* — the exporter is the test oracle.
+//!   simulated faulted fleet with captured hostile NetFlow bytes, and
+//!   the ledger read back from the Prometheus output itself
+//!   ([`Exposition::ledger`]) must equal the in-memory one — the exporter
+//!   is the test oracle.
 
 #![warn(missing_docs)]
 
@@ -40,6 +41,6 @@ pub use registry::{labels, MetricKind, MetricRegistry, RegistryConfig, SeriesVal
 pub use replay::{merge_ledgers, run_mixed_replay, Capture, MixedReplayConfig, MixedReplayReport};
 pub use scrape::{
     scrape_analytics, scrape_breaches, scrape_collector, scrape_fleet, scrape_ledger,
-    scrape_sim_sync, scrape_watchdog, scrape_wire,
+    scrape_sim_sync, scrape_terms, scrape_watchdog, scrape_wire,
 };
 pub use server::{http_get, ExportServer, RenderedSnapshot, SnapshotHandle};

@@ -16,10 +16,11 @@
 //! so the byte stream is deterministic.
 //!
 //! [`parse_exposition`] is the inverse used by the tests and the mixed
-//! sim/real replay oracle: the conservation identity is asserted over the
-//! *scraped* values, so the exporter itself is under test.
+//! sim/real replay oracle: [`Exposition::ledger`] reads a whole ledger
+//! back out of the *scraped* text, so the exporter itself is under test.
 
 use crate::registry::{Family, LabelSet, MetricRegistry, SeriesValue};
+use netseer::Ledger;
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
@@ -160,6 +161,24 @@ impl Exposition {
     /// Sum of every sample with this name (all label sets).
     pub fn sum(&self, name: &str) -> f64 {
         self.samples.iter().filter(|s| s.name == name).map(|s| s.value).sum()
+    }
+
+    /// Read a ledger back out of the document: each term is the sample
+    /// of its family under `lbls` plus its `reason` label, the inverse
+    /// of [`scrape_terms`](crate::scrape::scrape_terms). `None` when a
+    /// term is absent or not a whole count.
+    pub fn ledger<L: Ledger>(&self, lbls: &[(&str, &str)]) -> Option<L> {
+        let mut l = L::default();
+        for (t, v) in L::TERMS.iter().zip(l.values_mut()) {
+            let mut want = lbls.to_vec();
+            want.extend(t.reason.map(|r| ("reason", r)));
+            let x = self.value(t.family, &want)?;
+            if x < 0.0 || x.fract() != 0.0 {
+                return None;
+            }
+            *v = x as u64;
+        }
+        Some(l)
     }
 }
 

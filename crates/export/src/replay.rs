@@ -157,20 +157,9 @@ pub struct MixedReplayReport {
 
 /// Sum two ledgers term-by-term.
 pub fn merge_ledgers(a: &DeliveryLedger, b: &DeliveryLedger) -> DeliveryLedger {
-    DeliveryLedger {
-        generated: a.generated + b.generated,
-        delivered: a.delivered + b.delivered,
-        shed_stack: a.shed_stack + b.shed_stack,
-        shed_pcie: a.shed_pcie + b.shed_pcie,
-        shed_cpu_overload: a.shed_cpu_overload + b.shed_cpu_overload,
-        shed_false_positive: a.shed_false_positive + b.shed_false_positive,
-        shed_transport: a.shed_transport + b.shed_transport,
-        pending: a.pending + b.pending,
-        buffered: a.buffered + b.buffered,
-        lost_to_crash: a.lost_to_crash + b.lost_to_crash,
-        corrupted: a.corrupted + b.corrupted,
-        malformed: a.malformed + b.malformed,
-    }
+    let mut merged = *a;
+    merged.absorb(b);
+    merged
 }
 
 /// Run the mixed sim/real replay and export everything.

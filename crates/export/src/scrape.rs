@@ -17,73 +17,32 @@ use fet_wire::{ALL_CLOCK_LIES, ALL_REASONS};
 use netseer::deploy::{fleet_ledger, fleet_stats};
 use netseer::recovery::Collector;
 use netseer::watchdog::WatchdogLog;
-use netseer::{DeliveryLedger, WireIngest};
+use netseer::{DeliveryLedger, Ledger, TermKind, WireIngest};
 
 /// SLA breach-window duration buckets, ns (windows are ~1 ms wide and
 /// merge while contiguous).
 pub const BREACH_DURATION_BOUNDS_NS: [f64; 4] = [1e6, 2e6, 4e6, 8e6];
 
-/// Publish one [`DeliveryLedger`]'s terms under a `scope` label
-/// (`fleet`, `wire`, `merged`, ...). Occupancy-style terms (`pending`,
-/// `buffered`) are gauges; terminal dispositions are counters.
-pub fn scrape_ledger(reg: &mut MetricRegistry, scope: &str, l: &DeliveryLedger) {
-    let s = [("scope", scope)];
-    reg.counter_add(
-        "fet_events_generated_total",
-        "Event records handed to the reporting path (post-dedup).",
-        &s,
-        l.generated,
-    );
-    reg.counter_add(
-        "fet_events_delivered_total",
-        "Events that reached the backend store.",
-        &s,
-        l.delivered,
-    );
-    for (reason, v) in [
-        ("stack", l.shed_stack),
-        ("pcie", l.shed_pcie),
-        ("cpu_overload", l.shed_cpu_overload),
-        ("false_positive", l.shed_false_positive),
-        ("transport", l.shed_transport),
-    ] {
-        reg.counter_add(
-            "fet_events_shed_total",
-            "Events shed at a named, counted choke point.",
-            &[("scope", scope), ("reason", reason)],
-            v,
-        );
+/// Publish every term of a ledger under `lbls`: occupancy terms as
+/// gauges, the rest as counters, each under its term-list family with
+/// its `reason` label (if any) added.
+pub fn scrape_terms<L: Ledger>(reg: &mut MetricRegistry, lbls: &[(&str, &str)], l: &L) {
+    let mut with_reason = lbls.to_vec();
+    for (t, v) in l.terms() {
+        with_reason.truncate(lbls.len());
+        with_reason.extend(t.reason.map(|r| ("reason", r)));
+        if t.kind == TermKind::Occupancy {
+            reg.gauge_set(t.family, t.help, &with_reason, v as f64);
+        } else {
+            reg.counter_add(t.family, t.help, &with_reason, v);
+        }
     }
-    reg.gauge_set(
-        "fet_events_pending",
-        "Events still in flight (batcher stack + open CEBP).",
-        &s,
-        l.pending as f64,
-    );
-    reg.gauge_set(
-        "fet_events_buffered",
-        "Events parked in the collector's durable spill buffer.",
-        &s,
-        l.buffered as f64,
-    );
-    reg.counter_add(
-        "fet_events_lost_to_crash_total",
-        "Events lost to hard kills (bounded by the fsync window).",
-        &s,
-        l.lost_to_crash,
-    );
-    reg.counter_add(
-        "fet_events_corrupted_total",
-        "Events whose report failed CRC on every transmission attempt.",
-        &s,
-        l.corrupted,
-    );
-    reg.counter_add(
-        "fet_events_malformed_total",
-        "Wire-claimed records the collector could not decode.",
-        &s,
-        l.malformed,
-    );
+}
+
+/// Publish one [`DeliveryLedger`]'s terms under a `scope` label
+/// (`fleet`, `wire`, `merged`, ...).
+pub fn scrape_ledger(reg: &mut MetricRegistry, scope: &str, l: &DeliveryLedger) {
+    scrape_terms(reg, &[("scope", scope)], l);
 }
 
 /// Publish the collector's admission, spill, quarantine, and
@@ -157,49 +116,7 @@ pub fn scrape_collector(reg: &mut MetricRegistry, c: &Collector) {
 /// Publish the analytics engine's ledger, top-k, and upstream-loss
 /// scrapes. `top_n` bounds the per-flow series (cardinality <= n).
 pub fn scrape_analytics(reg: &mut MetricRegistry, e: &AnalyticsEngine, top_n: usize) {
-    let l = e.ledger();
-    reg.counter_add(
-        "fet_analytics_ingested_total",
-        "Events handed to the analytics shards.",
-        &[],
-        l.ingested,
-    );
-    reg.counter_add(
-        "fet_analytics_aggregated_total",
-        "Events accepted by the window aggregators.",
-        &[],
-        l.aggregated,
-    );
-    reg.counter_add(
-        "fet_analytics_sketch_absorbed_total",
-        "Events absorbed by the top-k sketches past the aggregator caps.",
-        &[],
-        l.sketch_absorbed,
-    );
-    reg.counter_add(
-        "fet_analytics_shed_total",
-        "Events refused by both aggregator and sketch (counted shed).",
-        &[],
-        l.shed_analytics,
-    );
-    reg.counter_add(
-        "fet_time_late_admitted_total",
-        "Late events admitted within the lateness bound (also disposed normally).",
-        &[],
-        l.late_admitted,
-    );
-    reg.counter_add(
-        "fet_time_late_shed_total",
-        "Events older than the watermark's lateness bound, shed with account.",
-        &[],
-        l.late_shed,
-    );
-    reg.gauge_set(
-        "fet_time_pending_reorder",
-        "Events held in the event-time reorder buffers, awaiting the watermark.",
-        &[],
-        l.pending_reorder as f64,
-    );
+    scrape_terms(reg, &[], &e.ledger());
     reg.counter_add(
         "fet_analytics_processed_total",
         "Events processed since engine construction.",
@@ -483,24 +400,11 @@ mod tests {
             malformed: 3,
             ..Default::default()
         };
-        assert!(l.balanced());
         let mut reg = MetricRegistry::default();
         scrape_ledger(&mut reg, "fleet", &l);
         let doc = parse_exposition(&render_prometheus(&reg)).unwrap();
-        let get = |n: &str| doc.value(n, &[("scope", "fleet")]).unwrap();
-        let shed: f64 = doc.sum("fet_events_shed_total");
-        assert_eq!(get("fet_events_generated_total"), 100.0);
-        assert_eq!(
-            get("fet_events_generated_total"),
-            get("fet_events_delivered_total")
-                + shed
-                + get("fet_events_pending")
-                + get("fet_events_buffered")
-                + get("fet_events_lost_to_crash_total")
-                + get("fet_events_corrupted_total")
-                + get("fet_events_malformed_total"),
-            "the scraped identity must balance"
-        );
+        assert_eq!(doc.ledger(&[("scope", "fleet")]), Some(l), "parsed ledger == scraped ledger");
+        l.assert_balanced();
     }
 
     #[test]
@@ -615,11 +519,7 @@ mod tests {
         let mut reg = MetricRegistry::default();
         scrape_analytics(&mut reg, &eng, 8);
         let doc = parse_exposition(&render_prometheus(&reg)).unwrap();
-        for name in
-            ["fet_time_late_admitted_total", "fet_time_late_shed_total", "fet_time_pending_reorder"]
-        {
-            assert_eq!(doc.value(name, &[]), Some(0.0), "{name} missing");
-        }
+        assert_eq!(doc.ledger(&[]), Some(eng.ledger()), "every analytics term is scraped");
     }
 
     #[test]

@@ -11,10 +11,8 @@
 //!    fuzz harness (`tests/fuzz_parsers.rs`) enforces it.
 //! 2. **Nothing is dropped silently.** Every refusal lands under one
 //!    [`reason::RejectReason`]; every record an exporter claimed but we
-//!    could not decode is booked as *malformed*, feeding the collector
-//!    ledger identity
-//!    `generated == delivered + shed + pending + buffered + lost_to_crash
-//!    + corrupted + malformed`.
+//!    could not decode is booked as *malformed*, a term of the collector's
+//!    delivery ledger (DESIGN.md §8).
 //! 3. **The exporter cannot grow our state.** Template caches are bounded
 //!    per observation domain *and* across domains
 //!    ([`template::TemplateCacheConfig`]), with deterministic LRU eviction

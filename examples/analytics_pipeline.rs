@@ -10,8 +10,7 @@
 //!   exact link that was given elevated loss — corroborated by both ends;
 //! * Space-Saving top-k: the heaviest victim flows, with per-entry error
 //!   bounds (`count - error <= true <= count`);
-//! * SLA breach windows per device, and the extended analytics ledger
-//!   identity `ingested == aggregated + sketch_absorbed + shed_analytics`.
+//! * SLA breach windows per device, and the analytics ledger identity.
 //!
 //! Run with: `cargo run --release --example analytics_pipeline`
 

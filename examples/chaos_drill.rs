@@ -17,7 +17,9 @@ use netseer_repro::fet_netsim::time::{MICROS, MILLIS};
 use netseer_repro::fet_netsim::topology::{build_fat_tree, FatTreeParams};
 use netseer_repro::fet_netsim::Simulator;
 use netseer_repro::fet_packet::FlowKey;
-use netseer_repro::netseer::deploy::{deploy, monitor_of, DeployOptions};
+use netseer_repro::netseer::deploy::{
+    deploy, fleet_ledger, fleet_stats, netseer_monitors, DeployOptions,
+};
 use netseer_repro::netseer::faults::OverloadWindow;
 use netseer_repro::netseer::{
     CorruptionSpec, DeliveryLedger, FaultPlan, LossProcess, NetSeerConfig, Window,
@@ -86,57 +88,16 @@ fn run(seed: u64) -> DeliveryLedger {
     sim.run_until(30 * MILLIS);
 
     // Audit: sum the per-device ledgers; each must balance on its own.
-    let mut total = DeliveryLedger::default();
-    let mut retransmissions = 0u64;
-    let mut notif_dropped = 0u64;
-    let mut crc_failures = 0u64;
-    let mut notif_rejected = 0u64;
-    let ids: Vec<u32> = sim.switch_ids().into_iter().chain(sim.host_ids()).collect();
-    for id in ids {
-        let m = monitor_of(&sim, id);
-        let l = m.ledger();
-        l.assert_balanced();
-        total.generated += l.generated;
-        total.delivered += l.delivered;
-        total.shed_stack += l.shed_stack;
-        total.shed_pcie += l.shed_pcie;
-        total.shed_cpu_overload += l.shed_cpu_overload;
-        total.shed_false_positive += l.shed_false_positive;
-        total.shed_transport += l.shed_transport;
-        total.pending += l.pending;
-        total.buffered += l.buffered;
-        total.corrupted += l.corrupted;
-        retransmissions += m.transport.retransmissions;
-        notif_dropped += m.notification_copies_dropped;
-        crc_failures += m.cebp_crc_failures;
-        notif_rejected += m.notifications_crc_rejected;
-    }
+    let total = fleet_ledger(&sim);
+    let stats = fleet_stats(&sim);
+    let notif_rejected: u64 = netseer_monitors(&sim).map(|m| m.notifications_crc_rejected).sum();
     println!("seed {seed:#x}:");
-    println!("  events generated        {}", total.generated);
-    println!("  delivered to backend    {}", total.delivered);
-    println!("  shed (stack overflow)   {}", total.shed_stack);
-    println!("  shed (PCIe)             {}", total.shed_pcie);
-    println!("  shed (CPU overload)     {}", total.shed_cpu_overload);
-    println!("  shed (false positive)   {}", total.shed_false_positive);
-    println!("  shed (transport)        {}", total.shed_transport);
-    println!("  pending in pipeline     {}", total.pending);
-    println!("  buffered in spill       {}", total.buffered);
-    println!("  corrupted past retries  {}", total.corrupted);
-    println!("  transport retransmits   {retransmissions}");
-    println!("  notification copies eaten {notif_dropped}");
-    println!("  CEBP CRC failures (implicit NACKs) {crc_failures}");
+    print!("{total:#}");
+    println!("  transport retransmits   {}", stats.retransmissions);
+    println!("  notification copies eaten {}", stats.notification_copies_dropped);
+    println!("  CEBP CRC failures (implicit NACKs) {}", stats.crc_failures);
     println!("  notification copies CRC-rejected   {notif_rejected}");
-    println!(
-        "  => identity: {} generated == {} delivered + {} shed + {} pending \
-         + {} buffered + {} corrupted (silently lost: {})",
-        total.generated,
-        total.delivered,
-        total.shed_total(),
-        total.pending,
-        total.buffered,
-        total.corrupted,
-        total.missing()
-    );
+    println!("  => identity: {total} (silently lost: {})", total.missing());
     total
 }
 

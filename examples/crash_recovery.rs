@@ -7,9 +7,7 @@
 //!   event queue; a hard kill *tears* the un-fsynced WAL tail (bit flips +
 //!   truncation mid-flush), per-record CRCs keep the longest valid record
 //!   prefix, and the loss is *accounted* (`lost_to_crash`), never silent;
-//! * the extended ledger identity holds fleet-wide across the restarts:
-//!   `generated == delivered + shed + pending + buffered + lost_to_crash
-//!   + corrupted`;
+//! * the delivery-ledger identity holds fleet-wide across the restarts;
 //! * the collector reverts to its last checkpoint on a hard kill; the
 //!   reconnect handshake retransmits the uncovered suffix and the
 //!   `(device, epoch, seq)` gates dedup the rest — exactly-once end to end;
@@ -24,7 +22,9 @@ use netseer_repro::fet_netsim::time::{MICROS, MILLIS};
 use netseer_repro::fet_netsim::topology::{build_fat_tree, FatTreeParams};
 use netseer_repro::fet_netsim::Simulator;
 use netseer_repro::fet_packet::FlowKey;
-use netseer_repro::netseer::deploy::{deploy, monitor_of, DeployOptions};
+use netseer_repro::netseer::deploy::{
+    deploy, fleet_ledger, fleet_stats, monitor_of, DeployOptions,
+};
 use netseer_repro::netseer::faults::seeded_device_crashes;
 use netseer_repro::netseer::{
     run_collector_crash_drill, schedule_device_crashes, Collector, CollectorCrash, CorruptionSpec,
@@ -98,29 +98,12 @@ fn run(seed: u64) -> Outcome {
 
     // Fleet ledger: every device must balance on its own, crash loss
     // included, before the totals mean anything.
-    let mut ledger = DeliveryLedger::default();
-    let mut wal_rejected = 0u64;
-    let ids: Vec<u32> = sim.switch_ids().into_iter().chain(sim.host_ids()).collect();
-    for &id in &ids {
-        let m = monitor_of(&sim, id);
-        let l = m.ledger();
-        l.assert_balanced();
-        ledger.generated += l.generated;
-        ledger.delivered += l.delivered;
-        ledger.shed_stack += l.shed_stack;
-        ledger.shed_pcie += l.shed_pcie;
-        ledger.shed_cpu_overload += l.shed_cpu_overload;
-        ledger.shed_false_positive += l.shed_false_positive;
-        ledger.shed_transport += l.shed_transport;
-        ledger.pending += l.pending;
-        ledger.buffered += l.buffered;
-        ledger.lost_to_crash += l.lost_to_crash;
-        ledger.corrupted += l.corrupted;
-        wal_rejected += m.recovery.wal_records_rejected;
-    }
+    let ledger = fleet_ledger(&sim);
+    let wal_rejected = fleet_stats(&sim).wal_records_rejected;
 
     // Collector drill: checkpoint at the median delivery, hard-kill after
     // the last one, then reconcile via retransmit + epoch/seq dedup.
+    let ids: Vec<u32> = sim.switch_ids().into_iter().chain(sim.host_ids()).collect();
     let deliveries: Vec<StoredEvent> =
         ids.iter().flat_map(|&id| monitor_of(&sim, id).delivered.iter().copied()).collect();
     let mut times: Vec<u64> = deliveries.iter().map(|e| e.time_ns).collect();
@@ -154,13 +137,7 @@ fn main() {
     let a = run(seed);
 
     println!("seed {seed:#x}: {} switch-CPU hard kills (torn WAL tails)", a.reports.len());
-    println!("  events generated        {}", a.ledger.generated);
-    println!("  delivered to backend    {}", a.ledger.delivered);
-    println!("  shed at choke points    {}", a.ledger.shed_total());
-    println!("  pending in pipeline     {}", a.ledger.pending);
-    println!("  buffered in spill       {}", a.ledger.buffered);
-    println!("  lost to hard kills      {}", a.ledger.lost_to_crash);
-    println!("  corrupted past retries  {}", a.ledger.corrupted);
+    print!("{:#}", a.ledger);
     println!("  WAL records torn away   {}", a.wal_rejected);
     for r in &a.reports {
         println!(
@@ -173,18 +150,7 @@ fn main() {
          {} of {} events stored",
         a.reverted, a.duplicates_rejected, a.stored, a.delivered_history
     );
-    println!(
-        "  => identity: {} generated == {} delivered + {} shed + {} pending \
-         + {} buffered + {} lost-to-crash + {} corrupted (silently lost: {})",
-        a.ledger.generated,
-        a.ledger.delivered,
-        a.ledger.shed_total(),
-        a.ledger.pending,
-        a.ledger.buffered,
-        a.ledger.lost_to_crash,
-        a.ledger.corrupted,
-        a.ledger.missing()
-    );
+    println!("  => identity: {} (silently lost: {})", a.ledger, a.ledger.missing());
 
     // The recovery contract, asserted.
     assert_eq!(a.ledger.missing(), 0, "crash loss must be accounted, never silent");

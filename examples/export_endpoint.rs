@@ -1,8 +1,9 @@
 //! Export endpoint demo: run the mixed sim/real replay (a faulted fleet
 //! plus captured hostile NetFlow bytes), publish the scrape snapshot,
 //! serve it on `/metrics` and `/otel`, then scrape *ourselves* over a
-//! plain `std::net::TcpStream` and re-derive the conservation identity
-//! from the scraped text — the exporter as its own oracle.
+//! plain `std::net::TcpStream`, read the merged ledger back out of the
+//! scraped text, and check it equals the in-memory ledger and balances —
+//! the exporter as its own oracle.
 //!
 //! Run with: `cargo run --release --example export_endpoint`
 
@@ -10,6 +11,7 @@ use netseer_repro::fet_export::{
     http_get, parse_exposition, run_mixed_replay, validate_json, ExportServer, MixedReplayConfig,
     SnapshotHandle,
 };
+use netseer_repro::netseer::DeliveryLedger;
 
 fn main() {
     println!("=== fet-export: scrape endpoint over a mixed sim/real replay ===\n");
@@ -32,45 +34,13 @@ fn main() {
     assert!(validate_json(&otel), "served OTel body must be valid JSON");
     server.stop();
 
-    let get = |name: &str| {
-        doc.value(name, &[("scope", "merged")])
-            .unwrap_or_else(|| panic!("scraped output missing {name}"))
-    };
-    let generated = get("fet_events_generated_total");
-    let delivered = get("fet_events_delivered_total");
-    let shed: f64 = doc
-        .samples
-        .iter()
-        .filter(|s| {
-            s.name == "fet_events_shed_total"
-                && s.labels.iter().any(|(k, v)| k == "scope" && v == "merged")
-        })
-        .map(|s| s.value)
-        .sum();
-    let pending = get("fet_events_pending");
-    let buffered = get("fet_events_buffered");
-    let lost = get("fet_events_lost_to_crash_total");
-    let corrupted = get("fet_events_corrupted_total");
-    let malformed = get("fet_events_malformed_total");
-
+    let merged: DeliveryLedger =
+        doc.ledger(&[("scope", "merged")]).expect("scraped output must carry every ledger term");
     println!("\n--- conservation identity, read back off the wire ---");
-    println!("  generated      = {generated}");
-    println!("  delivered      = {delivered}");
-    println!("  shed           = {shed}");
-    println!("  pending        = {pending}");
-    println!("  buffered       = {buffered}");
-    println!("  lost_to_crash  = {lost}");
-    println!("  corrupted      = {corrupted}");
-    println!("  malformed      = {malformed}");
-    assert_eq!(
-        generated,
-        delivered + shed + pending + buffered + lost + corrupted + malformed,
-        "the scraped identity must balance exactly"
-    );
-    println!(
-        "  identity: {generated} == {delivered} + {shed} + {pending} + {buffered} \
-         + {lost} + {corrupted} + {malformed}  ✓"
-    );
+    print!("{merged:#}");
+    assert_eq!(merged, report.merged, "the scraped ledger must equal the in-memory one");
+    merged.assert_balanced();
+    println!("  identity: {merged}  ✓");
     println!("\n  scraped {} samples across {} families", doc.samples.len(), doc.types.len());
     println!("\n=== scrape served, parsed, and balanced — endpoint demo passed ===");
 }

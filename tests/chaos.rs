@@ -20,13 +20,14 @@ use fet_netsim::Simulator;
 use fet_packet::event::EventType;
 use fet_packet::FlowKey;
 use netseer::deploy::{
-    collect_events, delivered_history, deploy, monitor_of, monitor_of_mut, DeployOptions,
+    collect_events, delivered_history, deploy, fleet_ledger, fleet_stats, monitor_of,
+    monitor_of_mut, DeployOptions,
 };
 use netseer::faults::{seeded_device_crashes, streams, OverloadWindow};
 use netseer::{
     schedule_device_crashes, schedule_watchdog, schedule_wedge, Collector, CollectorConfig,
-    CorruptionGen, CorruptionSpec, CrashKind, DeliveryLedger, FaultPlan, LossProcess,
-    NetSeerConfig, WatchdogConfig, Window,
+    CorruptionGen, CorruptionSpec, CrashKind, FaultPlan, LossProcess, NetSeerConfig,
+    WatchdogConfig, Window,
 };
 
 /// Seed diversification for the CI matrix: when `CHAOS_SEED` is set, every
@@ -76,35 +77,8 @@ fn drive_lossy_fabric(sim: &mut Simulator, ft: &FatTree, drop_prob: f64) {
     }
 }
 
-/// Sum every device's ledger after asserting each one balances on its own.
-fn fleet_ledger(sim: &Simulator) -> DeliveryLedger {
-    let mut total = DeliveryLedger::default();
-    let ids: Vec<u32> = sim.switch_ids().into_iter().chain(sim.host_ids()).collect();
-    for id in ids {
-        let l = monitor_of(sim, id).ledger();
-        l.assert_balanced();
-        total.generated += l.generated;
-        total.delivered += l.delivered;
-        total.shed_stack += l.shed_stack;
-        total.shed_pcie += l.shed_pcie;
-        total.shed_cpu_overload += l.shed_cpu_overload;
-        total.shed_false_positive += l.shed_false_positive;
-        total.shed_transport += l.shed_transport;
-        total.pending += l.pending;
-        total.buffered += l.buffered;
-        total.lost_to_crash += l.lost_to_crash;
-        total.corrupted += l.corrupted;
-    }
-    total
-}
-
 fn fleet_retransmissions(sim: &Simulator) -> u64 {
     sim.switch_ids().into_iter().map(|id| monitor_of(sim, id).transport.retransmissions).sum()
-}
-
-fn fleet_notification_drops(sim: &Simulator) -> u64 {
-    let ids: Vec<u32> = sim.switch_ids().into_iter().chain(sim.host_ids()).collect();
-    ids.into_iter().map(|id| monitor_of(sim, id).notification_copies_dropped).sum()
 }
 
 /// Scenario 1 — bursty (Gilbert–Elliott) loss on the management network.
@@ -191,7 +165,10 @@ fn notification_copy_loss_survived_by_redundancy() {
     }
     sim.run_until(100 * MILLIS);
 
-    assert!(fleet_notification_drops(&sim) > 0, "the loss process must actually eat copies");
+    assert!(
+        fleet_stats(&sim).notification_copies_dropped > 0,
+        "the loss process must actually eat copies"
+    );
     let gt = sim.gt.flow_events(EventType::InterSwitchDrop);
     assert!(!gt.is_empty(), "bursts must produce inter-switch drops");
     let store = collect_events(&mut sim);
@@ -276,7 +253,7 @@ fn same_seed_reproduces_the_same_chaos() {
         sim.run_until(20 * MILLIS);
         let ledger = fleet_ledger(&sim);
         let retx = fleet_retransmissions(&sim);
-        let notif = fleet_notification_drops(&sim);
+        let notif = fleet_stats(&sim).notification_copies_dropped;
         let store = collect_events(&mut sim);
         (ledger, retx, notif, store.len(), sim.mgmt.total_bytes())
     };
@@ -320,9 +297,8 @@ fn clean_restart_of_every_switch_cpu_is_lossless() {
 }
 
 /// Scenario 7 — every switch CPU is hard-killed once (the un-fsynced WAL
-/// tail dies with it). The ledger extends rather than breaks:
-/// `generated == delivered + shed + pending + lost_to_crash`, with the
-/// loss provably bounded by the un-checkpointed window on each device.
+/// tail dies with it). The ledger books the loss under `lost_to_crash`,
+/// provably bounded by the un-checkpointed window on each device.
 #[test]
 fn hard_kill_of_every_switch_cpu_bounds_the_loss() {
     let faults = FaultPlan { seed: seed(0xDEAD), ..FaultPlan::default() };
@@ -418,8 +394,7 @@ fn collector_hard_kill_reconciles_to_exactly_once() {
 /// kill. The engine checkpoints *with* the collector (store, gates, and
 /// subscription cursor together), so the coordinated revert rewinds both
 /// sides to the same instant; sender reconciliation then replays exactly
-/// the reverted suffix. The extended analytics ledger identity
-/// `ingested == aggregated + sketch_absorbed + shed_analytics` must hold
+/// the reverted suffix. The analytics ledger identity must hold
 /// before the kill, after the revert, and after reconciliation — and the
 /// engine's final state must equal a crash-free reference run's.
 #[test]
@@ -1015,9 +990,8 @@ fn clock_storm_converges_within_watermark_bounds() {
         "event-time analytics must converge to the zero-skew reference"
     );
 
-    // Tight bound: deep-late events are shed — visibly, with the extended
-    // identity (ingested == aggregated + sketch + shed + late_shed +
-    // pending) still exact.
+    // Tight bound: deep-late events are shed — visibly, under
+    // `late_shed`, with the analytics identity still exact.
     let tight = AnalyticsConfig {
         lateness_bound_ns: 10 * MICROS,
         reorder_cap: 64,

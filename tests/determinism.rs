@@ -24,7 +24,7 @@ use fet_netsim::tracer::GtEvent;
 use fet_netsim::Simulator;
 use fet_packet::FlowKey;
 use netseer::deploy::{
-    delivered_history, deploy, fleet_ledger, monitor_of, monitor_of_mut, DeployOptions,
+    delivered_history, deploy, fleet_ledger, fleet_stats, monitor_of, monitor_of_mut, DeployOptions,
 };
 use netseer::faults::{seeded_device_crashes, streams, OverloadWindow};
 use netseer::{
@@ -306,6 +306,7 @@ fn run_scenario_with(
     let export = RenderedSnapshot::render(&reg, 0, HORIZON);
 
     let ids: Vec<u32> = sim.switch_ids().into_iter().chain(sim.host_ids()).collect();
+    let stats = fleet_stats(&sim);
     Fingerprint {
         ledger: fleet_ledger(&sim),
         gt: sim.gt.events().to_vec(),
@@ -315,17 +316,11 @@ fn run_scenario_with(
             .into_iter()
             .map(|id| monitor_of(&sim, id).transport.retransmissions)
             .sum(),
-        notification_drops: ids
-            .iter()
-            .map(|&id| monitor_of(&sim, id).notification_copies_dropped)
-            .sum(),
+        notification_drops: stats.notification_copies_dropped,
         crash_reports: log.map(|l| l.reports()).unwrap_or_default(),
-        crc_failures: ids.iter().map(|&id| monitor_of(&sim, id).cebp_crc_failures).sum(),
-        wal_rejected: ids
-            .iter()
-            .map(|&id| monitor_of(&sim, id).recovery.wal_records_rejected)
-            .sum(),
-        flushes_skipped: ids.iter().map(|&id| monitor_of(&sim, id).batcher.flushes_skipped).sum(),
+        crc_failures: stats.crc_failures,
+        wal_rejected: stats.wal_records_rejected,
+        flushes_skipped: stats.flushes_skipped,
         buffered,
         spill_replayed: collector.spill_replayed(),
         spill_torn: collector.spill().torn_records,
@@ -721,8 +716,8 @@ fn det_17_hostile_wire_storm() {
 /// stat surface (see [`Fingerprint::export`]), so the encoders'
 /// byte-for-byte output is part of the bit-identical contract at every
 /// shard count; this scenario additionally pins that the snapshot is
-/// well-formed and that the conservation identity can be re-derived
-/// from the scraped text alone — the exporter as oracle.
+/// well-formed and that the fleet ledger read back from the scraped text
+/// alone equals the in-memory one — the exporter as oracle.
 #[test]
 fn det_18_export_snapshot_joins_the_fingerprint() {
     let cfg = || NetSeerConfig {
@@ -740,34 +735,10 @@ fn det_18_export_snapshot_joins_the_fingerprint() {
     assert!(validate_json(&fp.export.otel), "the OTel snapshot must be valid JSON");
     assert_eq!(fp.export.rendered_at_ns, HORIZON, "timestamps are sim time, never wall clock");
 
-    // Re-derive the fleet conservation identity from the scraped text
-    // and check it against the in-memory ledger term by term.
-    let get = |name: &str| {
-        doc.value(name, &[("scope", "fleet")])
-            .unwrap_or_else(|| panic!("scraped output missing {name}"))
-    };
-    assert_eq!(get("fet_events_generated_total"), fp.ledger.generated as f64);
-    let shed: f64 = doc
-        .samples
-        .iter()
-        .filter(|s| {
-            s.name == "fet_events_shed_total"
-                && s.labels.iter().any(|(k, v)| k == "scope" && v == "fleet")
-        })
-        .map(|s| s.value)
-        .sum();
-    assert_eq!(shed, fp.ledger.shed_total() as f64);
-    assert_eq!(
-        get("fet_events_generated_total"),
-        get("fet_events_delivered_total")
-            + shed
-            + get("fet_events_pending")
-            + get("fet_events_buffered")
-            + get("fet_events_lost_to_crash_total")
-            + get("fet_events_corrupted_total")
-            + get("fet_events_malformed_total"),
-        "the scraped fleet identity must balance"
-    );
+    // Read the fleet ledger back out of the scraped text: it must equal
+    // the in-memory ledger term by term, and balance.
+    assert_eq!(doc.ledger(&[("scope", "fleet")]), Some(fp.ledger), "scraped fleet ledger");
+    fp.ledger.assert_balanced();
     // The wire storm's scrape is in the same snapshot under its own scope.
     assert_eq!(
         doc.value("fet_events_generated_total", &[("scope", "wire")]),
