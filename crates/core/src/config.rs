@@ -89,8 +89,6 @@ pub struct NetSeerConfig {
     pub events_per_pass: u32,
     /// Fixed pipeline transit latency per circulation, ns.
     pub pass_latency_ns: u64,
-    /// Pre-compute the flow hash in the data plane (§3.6 offload).
-    pub hash_offload: bool,
     /// CPU false-positive window: repeats of an initial report within this
     /// window are eliminated, ns.
     pub fp_window_ns: u64,
@@ -106,8 +104,6 @@ pub struct NetSeerConfig {
     pub enable_dedup: bool,
     /// Enable CPU false-positive elimination.
     pub enable_fp_elimination: bool,
-    /// Enable inter-switch drop detection (tagging + ring buffer).
-    pub enable_interswitch: bool,
     /// Partial deployment: only monitor flows matching this filter
     /// (None = monitor everything, the paper's always-on mode).
     pub flow_filter: Option<FlowFilter>,
@@ -126,12 +122,13 @@ pub struct NetSeerConfig {
     /// Poison CEBP frames a monitor holds for collector-side quarantine
     /// before overflow frames are counted-but-dropped.
     pub max_poison_held: usize,
-    /// Ceiling on the collector-driven batch-flush widening stride: under
-    /// backpressure the monitor forces partial batches out only every
-    /// `2^level` timer ticks, and this caps the stride so a runaway
-    /// backlog signal can never silence the reporting path entirely.
-    pub backpressure_max_widen: u32,
 }
+
+/// Ceiling on the collector-driven batch-flush widening stride: under
+/// backpressure a monitor forces partial batches out only every `2^level`
+/// timer ticks, and this caps the stride so a runaway backlog signal can
+/// never silence the reporting path entirely.
+pub const BACKPRESSURE_MAX_WIDEN: u32 = 8;
 
 /// Configuration of the backend [`Collector`](crate::Collector): memory
 /// watermark, spill budget, and quarantine retention. The defaults
@@ -179,7 +176,6 @@ impl Default for NetSeerConfig {
             stack_capacity: 512,
             events_per_pass: 6,
             pass_latency_ns: 60,
-            hash_offload: true,
             fp_window_ns: 100 * fet_netsim::time::MILLIS,
             notification_copies: 3,
             pending_lookup_cap: 4096,
@@ -187,14 +183,12 @@ impl Default for NetSeerConfig {
             capacity: CapacityModel::default(),
             enable_dedup: true,
             enable_fp_elimination: true,
-            enable_interswitch: true,
             flow_filter: None,
             faults: FaultPlan::default(),
             transport_max_retries: DEFAULT_MAX_RETRIES,
             cpu_max_backlog_ns: 10 * MILLIS,
             checkpoint_interval_ns: MILLIS,
             max_poison_held: 16,
-            backpressure_max_widen: 8,
         }
     }
 }
@@ -249,7 +243,6 @@ mod tests {
         assert_eq!(c.capacity.internal_port_gbps, 100.0);
         assert_eq!(c.capacity.mmu_redirect_gbps, 40.0);
         assert_eq!(c.capacity.pcie_2core_gbps, 18.0);
-        assert!(c.hash_offload);
     }
 
     #[test]

@@ -74,7 +74,6 @@ pub struct CpuOutput {
 pub struct SwitchCpu {
     pcie: RateLimitedChannel,
     capacity: CapacityModel,
-    hash_offload: bool,
     fp_window_ns: u64,
     enable_fp: bool,
     /// Last initial-report time per (type code, flow hash).
@@ -113,7 +112,6 @@ impl SwitchCpu {
                 4 * 1024 * 1024,
             ),
             capacity: cfg.capacity,
-            hash_offload: cfg.hash_offload,
             fp_window_ns: cfg.fp_window_ns,
             enable_fp: cfg.enable_fp_elimination,
             seen: HashMap::new(),
@@ -184,8 +182,8 @@ impl SwitchCpu {
         let cycles_per_sec = self.capacity.cpu_ghz * 1e9 * f64::from(self.capacity.cpu_cores);
         for ev in events {
             self.received += 1;
-            let per_event_ns = (cycles_per_event(self.seen.len().max(1), self.hash_offload)
-                / cycles_per_sec
+            // The data plane always pre-computes the flow hash (§3.6).
+            let per_event_ns = (cycles_per_event(self.seen.len().max(1), true) / cycles_per_sec
                 * 1e9
                 * self.overload_factor(t))
             .max(1.0) as u64;

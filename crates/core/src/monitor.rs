@@ -5,7 +5,7 @@
 
 use crate::acl_agg::{AclAggregator, AclOutcome};
 use crate::batch::{CebpBatcher, PushOutcome};
-use crate::config::NetSeerConfig;
+use crate::config::{NetSeerConfig, BACKPRESSURE_MAX_WIDEN};
 use crate::cpu::SwitchCpu;
 use crate::dedup::{DedupOutcome, GroupCache};
 use crate::detect::{GapDetector, PathTable, PauseTracker, PendingLookups, PortTagger};
@@ -327,8 +327,7 @@ impl NetSeerMonitor {
     /// Record the collector's backpressure level (piggybacked on transport
     /// ACKs in a real deployment). The next timer tick converts it into a
     /// flush-widening stride of `2^level` ticks, capped by
-    /// [`NetSeerConfig::backpressure_max_widen`]. Level 0 restores
-    /// flush-every-tick.
+    /// [`BACKPRESSURE_MAX_WIDEN`]. Level 0 restores flush-every-tick.
     pub fn set_backpressure(&mut self, level: u32) {
         self.transport.rx_backpressure_hint = level;
     }
@@ -816,27 +815,24 @@ impl SwitchMonitor for NetSeerMonitor {
 
         // Strip the upstream's sequence tag and watch for gaps (Fig. 5
         // steps 2–4).
-        if self.cfg.enable_interswitch {
-            let eth = EthernetFrame::new_unchecked(frame.as_slice());
-            if eth.ethertype() == EtherType::NetSeerSeq {
-                if let Ok(seq) = strip_seqtag_in_place(frame) {
-                    let gap =
-                        self.gaps.get_or_insert_with(ctx.port, GapDetector::default).observe(seq);
-                    if let Some((lo, hi)) = gap {
-                        let copies = self.cfg.notification_copies;
-                        for mut nf in build_notification_frames_with(lo, hi, ctx.port, copies) {
-                            // Injected byte damage per copy: the receiver's
-                            // CRC trailer catches what survives the FCS.
-                            self.notif_corrupt.corrupt(&mut nf);
-                            out.emit(ctx.port, nf, true);
-                        }
+        let eth = EthernetFrame::new_unchecked(frame.as_slice());
+        if eth.ethertype() == EtherType::NetSeerSeq {
+            if let Ok(seq) = strip_seqtag_in_place(frame) {
+                let gap = self.gaps.get_or_insert_with(ctx.port, GapDetector::default).observe(seq);
+                if let Some((lo, hi)) = gap {
+                    let copies = self.cfg.notification_copies;
+                    for mut nf in build_notification_frames_with(lo, hi, ctx.port, copies) {
+                        // Injected byte damage per copy: the receiver's CRC
+                        // trailer catches what survives the FCS.
+                        self.notif_corrupt.corrupt(&mut nf);
+                        out.emit(ctx.port, nf, true);
                     }
                 }
             }
         }
 
         match classify(frame) {
-            FrameKind::LossNotification if self.cfg.enable_interswitch => {
+            FrameKind::LossNotification => {
                 // Injected fault: this notification copy died on the wire.
                 // Redundant copies (paper: three) are each drawn
                 // independently, so survival of any one suffices.
@@ -1029,7 +1025,7 @@ impl SwitchMonitor for NetSeerMonitor {
         // Inter-switch numbering + ring recording (Fig. 5 step 1), and one
         // pending ring lookup per departing packet (§3.3: subsequent
         // packets trigger the lookups).
-        if self.cfg.enable_interswitch && ctx.peer_tagged {
+        if ctx.peer_tagged {
             let kind = classify(frame);
             let already_tagged =
                 EthernetFrame::new_unchecked(frame.as_slice()).ethertype() == EtherType::NetSeerSeq;
@@ -1070,10 +1066,11 @@ impl SwitchMonitor for NetSeerMonitor {
         self.pump(now_ns, out);
         // Collector backpressure widens the flush interval: a pressured
         // collector means partial batches wait 2^level ticks (bounded by
-        // config) so the fabric sends fewer, fuller CEBPs. Full batches
-        // still deliver through pump() above regardless of stride.
+        // BACKPRESSURE_MAX_WIDEN) so the fabric sends fewer, fuller CEBPs.
+        // Full batches still deliver through pump() above regardless of
+        // stride.
         let level = self.transport.rx_backpressure_hint.min(31);
-        let stride = (1u32 << level).min(self.cfg.backpressure_max_widen.max(1));
+        let stride = (1u32 << level).min(BACKPRESSURE_MAX_WIDEN);
         self.batcher.set_flush_stride(stride);
         // Age out partial batches so light traffic still reports promptly.
         if let Some(batch) = self.batcher.flush(now_ns) {

@@ -11,6 +11,9 @@
 //!   fault clears);
 //! * the same seed reproduces the same run bit-for-bit.
 
+mod common;
+
+use common::seed;
 use fet_netsim::host::FlowSpec;
 use fet_netsim::link::BurstDrop;
 use fet_netsim::routing::install_ecmp_routes;
@@ -29,16 +32,6 @@ use netseer::{
     CorruptionGen, CorruptionSpec, CrashKind, FaultPlan, LossProcess, NetSeerConfig,
     WatchdogConfig, Window,
 };
-
-/// Seed diversification for the CI matrix: when `CHAOS_SEED` is set, every
-/// scenario's base seed is mixed with it so each matrix leg sweeps a
-/// genuinely different (but still fully deterministic) run.
-fn seed(base: u64) -> u64 {
-    match std::env::var("CHAOS_SEED") {
-        Ok(s) => base ^ s.trim().parse::<u64>().unwrap_or(0).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        Err(_) => base,
-    }
-}
 
 fn setup(cfg: NetSeerConfig) -> (Simulator, FatTree) {
     let mut sim = Simulator::new();
@@ -736,7 +729,7 @@ fn hard_kill_mid_spill_with_torn_tail_converges_to_reference() {
 
 /// Scenario 16 — sustained collector pressure widens the flush interval:
 /// monitors signalled a backpressure level force partial batches out only
-/// every `2^level` timer ticks (capped by `backpressure_max_widen`), so
+/// every `2^level` timer ticks (capped by `BACKPRESSURE_MAX_WIDEN`), so
 /// the fabric sends fewer partial CEBPs while full batches still flow.
 /// Accounting stays exact, and a runaway level clamps to the same stride
 /// as a moderate one — bit-for-bit.

@@ -10,6 +10,9 @@
 //! `CHAOS_SEED` CI matrix mixing), so each matrix leg verifies the
 //! contract over a genuinely different run.
 
+mod common;
+
+use common::seed;
 use fet_analytics::{link_map_from_sim, AnalyticsConfig, AnalyticsEngine};
 use fet_export::{
     parse_exposition, scrape_analytics, scrape_breaches, scrape_collector, scrape_fleet,
@@ -32,14 +35,6 @@ use netseer::{
     CorruptionGen, CorruptionSpec, CrashKind, CrashReport, DeliveryLedger, FaultPlan, LossProcess,
     NetSeerConfig, StoredEvent, WatchdogConfig, Window,
 };
-
-/// Same CI-matrix seed mixing as `tests/chaos.rs`.
-fn seed(base: u64) -> u64 {
-    match std::env::var("CHAOS_SEED") {
-        Ok(s) => base ^ s.trim().parse::<u64>().unwrap_or(0).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        Err(_) => base,
-    }
-}
 
 /// Shard counts required by the determinism contract. `1` exercises the
 /// serial-delegation path; the rest are genuinely parallel.

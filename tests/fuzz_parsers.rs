@@ -19,6 +19,9 @@
 //! use a bounded value; the default exercises ≥10k inputs per parser).
 //! `CHAOS_SEED` diversifies the corpus per CI matrix leg.
 
+mod common;
+
+use common::seed;
 use fet_netsim::corrupt::{corrupt_buffer, CorruptionSpec};
 use fet_netsim::rng::Pcg32;
 use fet_packet::builder::{
@@ -44,19 +47,6 @@ fn iters() -> u32 {
     match std::env::var("FUZZ_ITERS") {
         Ok(s) => s.parse().expect("FUZZ_ITERS must be a u32"),
         Err(_) => 10_000,
-    }
-}
-
-/// Corpus diversification for the CI seed matrix.
-fn seed(base: u64) -> u64 {
-    match std::env::var("CHAOS_SEED") {
-        Ok(s) => {
-            base ^ s
-                .parse::<u64>()
-                .expect("CHAOS_SEED must be a u64")
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        }
-        Err(_) => base,
     }
 }
 

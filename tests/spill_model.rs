@@ -24,6 +24,9 @@
 //!
 //! `CHAOS_SEED` diversifies the interleavings per CI matrix leg.
 
+mod common;
+
+use common::seed;
 use fet_netsim::rng::Pcg32;
 use fet_packet::event::{EventDetail, EventRecord, EventType};
 use fet_packet::ipv4::Ipv4Addr;
@@ -31,14 +34,6 @@ use fet_packet::FlowKey;
 use netseer::faults::streams;
 use netseer::spill::{SpillStore, SPILL_RECORD_LEN};
 use netseer::{CollectorConfig, CorruptionGen, CorruptionSpec, StoredEvent};
-
-/// Same CI-matrix seed mixing as `tests/chaos.rs`.
-fn seed(base: u64) -> u64 {
-    match std::env::var("CHAOS_SEED") {
-        Ok(s) => base ^ s.trim().parse::<u64>().unwrap_or(0).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        Err(_) => base,
-    }
-}
 
 fn ev(n: u64) -> StoredEvent {
     StoredEvent {
