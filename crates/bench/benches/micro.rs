@@ -9,7 +9,7 @@ use fet_packet::builder::{build_data_packet, extract_flow, insert_seqtag, strip_
 use fet_packet::event::{EventDetail, EventRecord, EventType};
 use fet_packet::ipv4::Ipv4Addr;
 use fet_packet::FlowKey;
-use fet_pdp::HashUnit;
+use fet_pdp::{HashUnit, LpmTable};
 use netseer::batch::CebpBatcher;
 use netseer::cpu::SwitchCpu;
 use netseer::dedup::{BloomDedup, GroupCache};
@@ -149,6 +149,47 @@ fn bench_packets() {
     bench("packet", "crc_hash_flow", 1, || {
         black_box(h.hash_flow(black_box(&f)));
     });
+    // A fabric ToR's routing table: one /32 per host.
+    let mut lpm: LpmTable<Vec<u8>> = LpmTable::new();
+    for host in 0..64u8 {
+        lpm.insert(Ipv4Addr::from_octets([10, 0, 1, host]), 32, vec![2, 3]);
+    }
+    let mut n = 0u8;
+    bench("packet", "lpm_lookup_64", 1, || {
+        n = (n + 1) % 64;
+        black_box(lpm.lookup(black_box(Ipv4Addr::from_octets([10, 0, 1, n]))));
+    });
+}
+
+fn bench_switch_forward() {
+    use fet_netsim::switchdev::{SwitchConfig, SwitchDevice};
+    use fet_netsim::GroundTruth;
+    use netseer::{NetSeerMonitor, Role};
+
+    // One packet through a warmed NetSeer switch: handle_arrival (ingress
+    // hook, ACL, TTL, LPM, ECMP, routed hook, MMU) then dequeue (egress
+    // hook with tagging), recycling one frame buffer.
+    let mut sw = SwitchDevice::new(0, "bench", SwitchConfig::default());
+    for host in 0..64u8 {
+        sw.routes.insert(Ipv4Addr::from_octets([10, 99, 0, host]), 32, vec![2, 3, 4, 5]);
+    }
+    for p in 2..6 {
+        sw.tag_ports[p] = true;
+    }
+    sw.set_monitor(Box::new(NetSeerMonitor::new(0, Role::Switch, NetSeerConfig::default())));
+    let template = build_data_packet(&flow(1), 1000, 0, 0, 64);
+    let mut gt = GroundTruth::new();
+    let mut frame = Vec::with_capacity(template.len() + 64);
+    let mut now = 0u64;
+    bench("switch", "switch_forward", 1, || {
+        now += 1_000;
+        let mut buf = std::mem::take(&mut frame);
+        buf.clear();
+        buf.extend_from_slice(&template);
+        let fx = sw.handle_arrival(now, 1, buf, false, &mut gt);
+        let port = fx.kick_ports.iter().next().expect("enqueued");
+        frame = sw.dequeue(now, port, &mut gt).expect("dequeued").frame;
+    });
 }
 
 fn bench_path_table() {
@@ -230,4 +271,5 @@ fn main() {
     bench_packets();
     bench_path_table();
     bench_full_monitor_path();
+    bench_switch_forward();
 }

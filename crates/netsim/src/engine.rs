@@ -43,6 +43,42 @@ pub(crate) struct Peer {
     pub(crate) a_to_b: bool,
 }
 
+/// The wiring, dense by `[node][port]`: the far end of every connected
+/// port. A lookup is two indexed loads — `transmit` does one per frame.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PeerTable(Vec<Vec<Option<Peer>>>);
+
+impl PeerTable {
+    /// The far end of `(node, port)`, if connected.
+    pub(crate) fn get(&self, node: NodeId, port: u8) -> Option<Peer> {
+        *self.0.get(node as usize)?.get(usize::from(port))?
+    }
+
+    /// Connect `(node, port)` to `peer`, replacing any previous peer.
+    fn set(&mut self, node: NodeId, port: u8, peer: Peer) {
+        let n = node as usize;
+        if self.0.len() <= n {
+            self.0.resize_with(n + 1, Vec::new);
+        }
+        let ports = &mut self.0[n];
+        let p = usize::from(port);
+        if ports.len() <= p {
+            ports.resize(p + 1, None);
+        }
+        ports[p] = Some(peer);
+    }
+
+    /// Every connected `(node, port, peer)`, ascending by `(node, port)`.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (NodeId, u8, Peer)> + '_ {
+        self.0.iter().enumerate().flat_map(|(n, ports)| {
+            ports
+                .iter()
+                .enumerate()
+                .filter_map(move |(p, peer)| peer.map(|peer| (n as NodeId, p as u8, peer)))
+        })
+    }
+}
+
 /// Scheduled simulator events.
 pub(crate) enum SimEvent {
     Arrive { node: NodeId, port: u8, frame: Vec<u8>, fcs_error: bool },
@@ -214,7 +250,7 @@ pub struct Simulator {
     /// All devices.
     pub nodes: Vec<Node>,
     pub(crate) links: Vec<Link>,
-    pub(crate) port_map: HashMap<(NodeId, u8), Peer>,
+    pub(crate) peers: PeerTable,
     /// Ground-truth oracle.
     pub gt: GroundTruth,
     /// Monitoring traffic accounting.
@@ -246,7 +282,7 @@ impl Simulator {
             lane_seqs: vec![0],
             nodes: Vec::new(),
             links: Vec::new(),
-            port_map: HashMap::new(),
+            peers: PeerTable::default(),
             gt: GroundTruth::new(),
             mgmt: MgmtAccounting::default(),
             controls: Vec::new(),
@@ -303,21 +339,21 @@ impl Simulator {
     pub fn connect(&mut self, a: NodeId, pa: u8, b: NodeId, pb: u8, link: Link) -> usize {
         let idx = self.links.len();
         self.links.push(link);
-        self.port_map.insert((a, pa), Peer { node: b, port: pb, link: idx, a_to_b: true });
-        self.port_map.insert((b, pb), Peer { node: a, port: pa, link: idx, a_to_b: false });
+        self.peers.set(a, pa, Peer { node: b, port: pb, link: idx, a_to_b: true });
+        self.peers.set(b, pb, Peer { node: a, port: pa, link: idx, a_to_b: false });
         idx
     }
 
     /// Fault-injection access: the direction of `link` leaving `(node, port)`.
     pub fn link_direction_mut(&mut self, node: NodeId, port: u8) -> Option<&mut LinkDirection> {
-        let peer = *self.port_map.get(&(node, port))?;
+        let peer = self.peers.get(node, port)?;
         let l = &mut self.links[peer.link];
         Some(if peer.a_to_b { &mut l.ab } else { &mut l.ba })
     }
 
     /// Peer of a port: (node, port).
     pub fn peer_of(&self, node: NodeId, port: u8) -> Option<(NodeId, u8)> {
-        self.port_map.get(&(node, port)).map(|p| (p.node, p.port))
+        self.peers.get(node, port).map(|p| (p.node, p.port))
     }
 
     /// Borrow a switch.
@@ -556,10 +592,7 @@ impl Simulator {
         for (port, pfc) in fx.pfc_frames {
             self.transmit(node, port, pfc);
         }
-        let mut kicked: Vec<u8> = fx.kick_ports;
-        kicked.sort_unstable();
-        kicked.dedup();
-        for p in kicked {
+        for p in fx.kick_ports.iter() {
             self.kick_port(node, p);
         }
     }
@@ -646,7 +679,7 @@ impl Simulator {
     /// inter-switch losses.
     fn transmit(&mut self, node: NodeId, port: u8, frame: Vec<u8>) -> u64 {
         let now = self.now;
-        let Some(peer) = self.port_map.get(&(node, port)).copied() else {
+        let Some(peer) = self.peers.get(node, port) else {
             // Unconnected port: the frame evaporates (like a dark fiber).
             return now + 1;
         };
@@ -781,14 +814,12 @@ impl Simulator {
         })
     }
 
-    /// Adjacency of the whole network: node → [(local port, peer node)].
+    /// Adjacency of the whole network: node → [(local port, peer node)],
+    /// ascending by port.
     pub fn adjacency(&self) -> HashMap<NodeId, Vec<(u8, NodeId)>> {
         let mut adj: HashMap<NodeId, Vec<(u8, NodeId)>> = HashMap::new();
-        for (&(node, port), peer) in &self.port_map {
+        for (node, port, peer) in self.peers.iter() {
             adj.entry(node).or_default().push((port, peer.node));
-        }
-        for v in adj.values_mut() {
-            v.sort_unstable();
         }
         adj
     }
@@ -796,13 +827,7 @@ impl Simulator {
     /// Every directed attachment: `(node, port, peer, peer_port)`, sorted.
     /// The wiring truth used to build the analytics layer's link map.
     pub fn link_endpoints(&self) -> Vec<(NodeId, u8, NodeId, u8)> {
-        let mut v: Vec<(NodeId, u8, NodeId, u8)> = self
-            .port_map
-            .iter()
-            .map(|(&(node, port), peer)| (node, port, peer.node, peer.port))
-            .collect();
-        v.sort_unstable();
-        v
+        self.peers.iter().map(|(node, port, peer)| (node, port, peer.node, peer.port)).collect()
     }
 
     /// Total data bytes transmitted by all hosts (the "original traffic"
@@ -1088,7 +1113,7 @@ mod engine_unit_tests {
         sim.schedule_control(0, move |s| {
             let Node::Switch(sw) = &mut s.nodes[id as usize] else { unreachable!() };
             let fx = sw.handle_arrival(0, 0, frame.clone(), false, &mut s.gt);
-            assert_eq!(fx.kick_ports, vec![5]);
+            assert_eq!(fx.kick_ports.iter().collect::<Vec<_>>(), vec![5]);
         });
         sim.run_until(1_000);
         // Frame is queued on port 5 but never transmitted (no kick); the

@@ -25,6 +25,7 @@ pub mod corrupt;
 pub mod counters;
 pub mod engine;
 pub mod exporter;
+mod fxhash;
 pub mod host;
 pub mod link;
 pub mod mmu;

@@ -3,6 +3,7 @@
 //! PFC, and the monitor hook points listed in [`crate::monitor`].
 
 use crate::counters::PortCounters;
+use crate::fxhash::FxHashMap;
 use crate::mmu::{Mmu, MmuConfig, MmuVerdict};
 use crate::monitor::{
     Actions, EgressCtx, HookVerdict, IngressCtx, MgmtReport, RoutedCtx, SwitchMonitor,
@@ -75,11 +76,49 @@ impl Default for SwitchConfig {
     }
 }
 
+/// A set of port numbers as a 256-bit bitmap — a fixed-size value, so
+/// collecting kicked ports never touches the heap.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct PortSet([u64; 4]);
+
+impl PortSet {
+    /// Add `port` (idempotent).
+    pub fn insert(&mut self, port: u8) {
+        self.0[usize::from(port >> 6)] |= 1 << (port & 63);
+    }
+
+    /// True if `port` is in the set.
+    pub fn contains(&self, port: u8) -> bool {
+        self.0[usize::from(port >> 6)] & (1 << (port & 63)) != 0
+    }
+
+    /// True when no port is in the set.
+    pub fn is_empty(&self) -> bool {
+        self.0 == [0; 4]
+    }
+
+    /// The ports in ascending order, each once.
+    pub fn iter(&self) -> impl Iterator<Item = u8> {
+        let words = self.0;
+        (0..4usize).flat_map(move |w| {
+            let mut bits = words[w];
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some((w * 64 + b) as u8)
+            })
+        })
+    }
+}
+
 /// Effects an arrival produced, for the engine to act on.
 #[derive(Debug, Default)]
 pub struct ArrivalEffects {
     /// Ports that enqueued traffic and may need a dequeue scheduled.
-    pub kick_ports: Vec<u8>,
+    pub kick_ports: PortSet,
     /// PFC frames to transmit immediately (bypass queues, MAC control).
     pub pfc_frames: Vec<(u8, Vec<u8>)>,
     /// Management-plane reports from the monitor.
@@ -128,7 +167,8 @@ pub struct SwitchDevice {
     processor: Option<fet_pdp::RateLimitedChannel>,
     /// Exact per-flow (ingress, egress) map for the ground-truth oracle's
     /// path-change record (unbounded — this is the oracle, not the DUT).
-    gt_paths: HashMap<FlowKey, (u8, u8)>,
+    /// Insert-only and never iterated, so its hasher cannot affect output.
+    gt_paths: FxHashMap<FlowKey, (u8, u8)>,
     /// Whether each port's serializer is currently busy.
     pub port_busy: Vec<bool>,
 }
@@ -164,7 +204,7 @@ impl SwitchDevice {
             processor: config
                 .processing
                 .map(|p| fet_pdp::RateLimitedChannel::new("processing", p.gbps, p.buffer_bytes)),
-            gt_paths: HashMap::new(),
+            gt_paths: FxHashMap::default(),
             port_busy: vec![false; ports],
             config,
         }
@@ -318,7 +358,7 @@ impl SwitchDevice {
                 if let Some(m) = self.monitor.as_mut() {
                     m.on_pause_state(now_ns, port, prio as u8, false);
                 }
-                fx.kick_ports.push(port);
+                fx.kick_ports.insert(port);
             }
         }
     }
@@ -402,8 +442,13 @@ impl SwitchDevice {
             ip.decrement_ttl();
         }
 
-        // Route.
-        let Some(ecmp) = self.routes.lookup(flow.dst).filter(|v| !v.is_empty()).cloned() else {
+        // Route: hash the flow over the borrowed ECMP port set.
+        let ecmp_pick = self
+            .routes
+            .lookup(flow.dst)
+            .filter(|v| !v.is_empty())
+            .map(|ecmp| ecmp[self.ecmp_hash.hash_flow(&flow) as usize % ecmp.len()]);
+        let Some(egress_port) = ecmp_pick else {
             self.pipeline_drop(
                 now_ns,
                 &ictx,
@@ -417,7 +462,6 @@ impl SwitchDevice {
             );
             return;
         };
-        let egress_port = ecmp[self.ecmp_hash.hash_flow(&flow) as usize % ecmp.len()];
         if !self.port_up[usize::from(egress_port)] {
             self.pipeline_drop(
                 now_ns,
@@ -524,7 +568,7 @@ impl SwitchDevice {
             MmuVerdict::Admit => {
                 let qi = self.qidx(eport, queue);
                 self.queues[qi].push_back((frame, meta));
-                fx.kick_ports.push(eport);
+                fx.kick_ports.insert(eport);
                 // PFC XOFF: pause the contributing ingress port, and keep
                 // refreshing the pause while the queue stays above XOFF
                 // (real PFC re-arms before the quanta expire).
@@ -766,7 +810,7 @@ mod tests {
         let mut gt = GroundTruth::new();
         let pkt = build_data_packet(&flow(), 100, flags::SYN, 0, 64);
         let fx = s.handle_arrival(0, 1, pkt, false, &mut gt);
-        assert_eq!(fx.kick_ports, vec![2]);
+        assert_eq!(fx.kick_ports.iter().collect::<Vec<_>>(), vec![2]);
         assert_eq!(s.queue_len(2, 0), 1);
         let out = s.dequeue(0, 2, &mut gt).unwrap();
         assert!(extract_flow(&out.frame).is_some());
@@ -774,6 +818,17 @@ mod tests {
         // TTL decremented in flight.
         let ipp = Ipv4Packet::new_unchecked(&out.frame[ETHERNET_HEADER_LEN..]);
         assert_eq!(ipp.ttl(), 63);
+    }
+
+    #[test]
+    fn port_set_walks_ascending_without_duplicates() {
+        let mut set = PortSet::default();
+        assert!(set.is_empty());
+        for p in [200, 3, 64, 3, 63, 255, 0] {
+            set.insert(p);
+        }
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![0, 3, 63, 64, 200, 255]);
+        assert!(set.contains(64) && !set.contains(65));
     }
 
     #[test]
@@ -917,7 +972,7 @@ mod tests {
         assert!(s.dequeue(20, 2, &mut gt).is_none());
         let resume = fet_packet::builder::build_pfc_frame(0, 0);
         let fx = s.handle_arrival(30, 2, resume, false, &mut gt);
-        assert!(fx.kick_ports.contains(&2));
+        assert!(fx.kick_ports.contains(2));
         assert!(s.dequeue(31, 2, &mut gt).is_some());
     }
 

@@ -272,13 +272,15 @@ impl EventWheel {
             if let Some(level) = (0..LEVELS).find(|&l| self.occupied[l] != 0) {
                 let s = self.occupied[level].trailing_zeros() as usize;
                 if level == 0 {
-                    // A level-0 slot is a single nanosecond: dump it.
+                    // A level-0 slot is a single nanosecond: dump it,
+                    // keeping the slot's buffer so the per-packet
+                    // schedule → dump cycle stops allocating. (Coarser
+                    // slots are freed on cascade: they can grow large.)
                     let t = (self.base & !((SLOTS as u64) - 1)) | s as u64;
                     debug_assert!(t > self.base);
                     self.base = t;
-                    let v = std::mem::take(&mut self.levels[0][s]);
                     self.occupied[0] &= !(1 << s);
-                    for e in v {
+                    for e in self.levels[0][s].drain(..) {
                         debug_assert_eq!(e.time, t);
                         self.ready.push(Reverse(e));
                     }

@@ -46,7 +46,11 @@ impl FrameArena {
             }
             None => {
                 self.misses += 1;
-                vec![0u8; len]
+                // Spare room for the hop-local sequence tag, so the first
+                // switch egress that tags the frame does not reallocate.
+                let mut buf = Vec::with_capacity(len + crate::SEQTAG_LEN);
+                buf.resize(len, 0);
+                buf
             }
         }
     }

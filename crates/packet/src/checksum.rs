@@ -1,4 +1,4 @@
-//! Internet checksum (RFC 1071) and CRC-32 (Ethernet FCS) helpers.
+//! Internet checksum (RFC 1071), CRC-32 and CRC-32C helpers.
 
 /// Running one's-complement sum used by the Internet checksum family.
 ///
@@ -60,21 +60,69 @@ pub fn verify_internet_checksum(data: &[u8]) -> bool {
     internet_checksum(data) == 0
 }
 
-/// CRC-32 (IEEE 802.3) over a buffer, as used by the Ethernet FCS.
-///
-/// Implemented bitwise with the reflected polynomial 0xEDB88320; the
-/// simulator uses this both for FCS validation of corrupted frames and as
-/// one of the PDP hash units.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xffff_ffff;
+/// Reflected CRC-32 (IEEE 802.3) polynomial.
+const CRC32_POLY: u32 = 0xedb8_8320;
+
+/// Initial register value for a streaming [`crc32_update`] computation.
+pub const CRC32_INIT: u32 = 0xffff_ffff;
+
+/// Byte-at-a-time lookup table for CRC-32, built at compile time.
+static CRC32_TABLE: [u32; 256] = crc_byte_table(CRC32_POLY);
+
+/// The classic byte-at-a-time table of a reflected CRC-32 polynomial.
+const fn crc_byte_table(poly: u32) -> [u32; 256] {
+    let mut t = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (poly & mask);
+            bit += 1;
+        }
+        t[i] = crc;
+        i += 1;
+    }
+    t
+}
+
+/// One-bit-at-a-time reflected CRC-32 with polynomial `poly`.
+fn crc_bitwise(poly: u32, data: &[u8]) -> u32 {
+    let mut crc = CRC32_INIT;
     for &b in data {
         crc ^= u32::from(b);
         for _ in 0..8 {
             let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+            crc = (crc >> 1) ^ (poly & mask);
         }
     }
     !crc
+}
+
+/// Advance a running CRC-32 register over `data`. Start from
+/// [`CRC32_INIT`] and complement the final register (`!crc`) to get the
+/// checksum, so a message fed in pieces hashes exactly like the whole.
+pub fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
+    for &b in data {
+        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xff) as usize];
+    }
+    crc
+}
+
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a buffer.
+///
+/// The simulator uses it only as a PDP hash unit (`fet_pdp::HashUnit`):
+/// switch ASICs hash flows with CRC polynomials. Table-driven, one lookup
+/// per byte; bit-identical to [`crc32_reference`].
+pub fn crc32(data: &[u8]) -> u32 {
+    !crc32_update(CRC32_INIT, data)
+}
+
+/// One-bit-at-a-time CRC-32 — the original implementation, kept as the
+/// oracle the table kernel is property-tested against.
+pub fn crc32_reference(data: &[u8]) -> u32 {
+    crc_bitwise(CRC32_POLY, data)
 }
 
 /// Reflected CRC-32C (Castagnoli) polynomial, as computed in hardware by
@@ -90,18 +138,7 @@ static CRC32C_TABLES: [[u32; 256]; 8] = build_crc32c_tables();
 
 const fn build_crc32c_tables() -> [[u32; 256]; 8] {
     let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (CRC32C_POLY & mask);
-            bit += 1;
-        }
-        t[0][i] = crc;
-        i += 1;
-    }
+    t[0] = crc_byte_table(CRC32C_POLY);
     let mut k = 1;
     while k < 8 {
         let mut i = 0;
@@ -187,15 +224,7 @@ unsafe fn crc32c_hw(data: &[u8]) -> u32 {
 /// the original implementation, kept as the oracle the slice-by-8 and
 /// SSE4.2 kernels are property-tested against.
 pub fn crc32c_reference(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xffff_ffff;
-    for &b in data {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (CRC32C_POLY & mask);
-        }
-    }
-    !crc
+    crc_bitwise(CRC32C_POLY, data)
 }
 
 /// CRC-16/CCITT used as the second independent PDP hash unit.
@@ -247,6 +276,16 @@ mod tests {
     fn crc32_known_vector() {
         // "123456789" is the canonical CRC check string.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(crc32_reference(b"123456789"), 0xcbf4_3926);
+    }
+
+    #[test]
+    fn crc32_streaming_matches_oneshot() {
+        let data: Vec<u8> = (0..=255u8).collect();
+        for cut in [0, 1, 4, 100, 256] {
+            let (a, b) = data.split_at(cut);
+            assert_eq!(!crc32_update(crc32_update(CRC32_INIT, a), b), crc32(&data), "cut {cut}");
+        }
     }
 
     #[test]

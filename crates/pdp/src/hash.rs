@@ -8,14 +8,16 @@
 //! independently.
 
 use crate::resources::{ResourceKind, ResourceLedger};
-use fet_packet::checksum::crc32;
+use fet_packet::checksum::{crc32_update, CRC32_INIT};
 use fet_packet::flow::{FlowKey, FLOW_KEY_LEN};
 
 /// A single hash engine with a fixed seed and output width.
 #[derive(Debug, Clone)]
 pub struct HashUnit {
     name: &'static str,
-    seed: u32,
+    /// The CRC register after streaming the big-endian seed: every hash
+    /// starts from here instead of re-feeding the same four bytes.
+    seeded: u32,
     output_bits: u32,
 }
 
@@ -23,15 +25,14 @@ impl HashUnit {
     /// Create a hash unit. `output_bits` ≤ 32; outputs are masked to it.
     pub fn new(name: &'static str, seed: u32, output_bits: u32) -> Self {
         assert!((1..=32).contains(&output_bits), "hash output must be 1..=32 bits");
-        HashUnit { name, seed, output_bits }
+        HashUnit { name, seeded: crc32_update(CRC32_INIT, &seed.to_be_bytes()), output_bits }
     }
 
-    /// Hash arbitrary bytes.
+    /// Hash arbitrary bytes: the CRC-32 of the big-endian seed followed by
+    /// `data`, masked to the output width. The CRC streams on from the
+    /// pre-seeded register, so no seeded copy of `data` is ever built.
     pub fn hash_bytes(&self, data: &[u8]) -> u32 {
-        let mut seeded = Vec::with_capacity(data.len() + 4);
-        seeded.extend_from_slice(&self.seed.to_be_bytes());
-        seeded.extend_from_slice(data);
-        let h = crc32(&seeded);
+        let h = !crc32_update(self.seeded, data);
         if self.output_bits == 32 {
             h
         } else {
@@ -82,6 +83,27 @@ mod tests {
             Ipv4Addr::from_octets([10, 0, 0, 2]),
             80,
         )
+    }
+
+    #[test]
+    fn known_answers() {
+        // Pinned from the original allocate-and-copy implementation: any
+        // change here re-routes ECMP and re-indexes every dedup table.
+        let f2 = FlowKey::udp(
+            Ipv4Addr::from_octets([10, 1, 2, 3]),
+            4791,
+            Ipv4Addr::from_octets([10, 3, 2, 1]),
+            4791,
+        );
+        let f3 = FlowKey::tcp(
+            Ipv4Addr::from_octets([192, 168, 7, 9]),
+            51234,
+            Ipv4Addr::from_octets([172, 16, 0, 5]),
+            443,
+        );
+        assert_eq!(HashUnit::new("a", 0xabc, 32).hash_flow(&flow(1)), 0x4aaf_0f59);
+        assert_eq!(HashUnit::new("b", 0, 32).hash_flow(&f2), 0xd83f_4b95);
+        assert_eq!(HashUnit::new("c", 0xdead_beef, 16).hash_flow(&f3), 0x9215);
     }
 
     #[test]

@@ -88,40 +88,73 @@ impl<K: Eq + std::hash::Hash + Clone, A: Clone> ExactTable<K, A> {
 /// Longest-prefix-match routing table over IPv4 destinations.
 #[derive(Debug, Clone, Default)]
 pub struct LpmTable<A: Clone> {
-    /// (prefix, prefix_len, action), kept sorted by descending prefix_len so
-    /// the first match wins.
+    /// (prefix, prefix_len, action), sorted by `(len desc, prefix asc)`:
+    /// each prefix length is one contiguous run, longest first, and a run
+    /// is binary-searched for the address masked to its length.
     entries: Vec<(u32, u8, A)>,
+    /// One `(len, end)` per distinct prefix length, longest first: the
+    /// run of that length is `entries[previous end..end]`.
+    runs: Vec<(u8, usize)>,
 }
 
 impl<A: Clone> LpmTable<A> {
     /// Empty table.
     pub fn new() -> Self {
-        LpmTable { entries: Vec::new() }
+        LpmTable { entries: Vec::new(), runs: Vec::new() }
+    }
+
+    /// Rebuild the run index after the entries changed.
+    fn reindex(&mut self) {
+        self.runs.clear();
+        for (i, e) in self.entries.iter().enumerate() {
+            match self.runs.last_mut() {
+                Some((len, end)) if *len == e.1 => *end = i + 1,
+                _ => self.runs.push((e.1, i + 1)),
+            }
+        }
+    }
+
+    /// Position of `masked/len` in the sorted entries: `Ok` if installed,
+    /// `Err` with the insertion point otherwise.
+    fn search(&self, masked: u32, len: u8) -> Result<usize, usize> {
+        self.entries.binary_search_by(|&(p, l, _)| len.cmp(&l).then(p.cmp(&masked)))
     }
 
     /// Insert a route `addr/len -> action`. Replaces an identical prefix.
     pub fn insert(&mut self, addr: Ipv4Addr, len: u8, action: A) {
         assert!(len <= 32);
         let masked = mask(addr.as_u32(), len);
-        if let Some(e) = self.entries.iter_mut().find(|(p, l, _)| *p == masked && *l == len) {
-            e.2 = action;
-            return;
+        match self.search(masked, len) {
+            Ok(i) => self.entries[i].2 = action,
+            Err(i) => {
+                self.entries.insert(i, (masked, len, action));
+                self.reindex();
+            }
         }
-        self.entries.push((masked, len, action));
-        self.entries.sort_by_key(|e| std::cmp::Reverse(e.1));
     }
 
     /// Remove a route, returning its action.
     pub fn remove(&mut self, addr: Ipv4Addr, len: u8) -> Option<A> {
-        let masked = mask(addr.as_u32(), len);
-        let pos = self.entries.iter().position(|(p, l, _)| *p == masked && *l == len)?;
-        Some(self.entries.remove(pos).2)
+        let i = self.search(mask(addr.as_u32(), len), len).ok()?;
+        let (_, _, action) = self.entries.remove(i);
+        self.reindex();
+        Some(action)
     }
 
-    /// Longest-prefix lookup.
+    /// Longest-prefix lookup: one binary search per distinct prefix
+    /// length, longest first. At most one entry per length can match, so
+    /// the first hit is the longest match.
     pub fn lookup(&self, addr: Ipv4Addr) -> Option<&A> {
         let a = addr.as_u32();
-        self.entries.iter().find(|(p, l, _)| mask(a, *l) == *p).map(|(_, _, act)| act)
+        let mut start = 0;
+        for &(len, end) in &self.runs {
+            let run = &self.entries[start..end];
+            if let Ok(i) = run.binary_search_by_key(&mask(a, len), |e| e.0) {
+                return Some(&run[i].2);
+            }
+            start = end;
+        }
+        None
     }
 
     /// Number of routes installed.
@@ -299,6 +332,25 @@ mod tests {
         t.insert(ip(10, 0, 0, 0), 8, "r");
         assert_eq!(t.remove(ip(10, 0, 0, 0), 8), Some("r"));
         assert_eq!(t.lookup(ip(10, 1, 2, 3)), None);
+    }
+
+    #[test]
+    fn lpm_runs_stay_sorted_across_insert_and_remove() {
+        let mut t: LpmTable<u8> = LpmTable::new();
+        t.insert(ip(10, 0, 0, 7), 32, 1);
+        t.insert(ip(10, 0, 0, 0), 8, 2);
+        t.insert(ip(10, 0, 0, 3), 32, 3);
+        t.insert(ip(10, 1, 0, 0), 16, 4);
+        t.insert(ip(9, 0, 0, 0), 8, 5);
+        assert_eq!(t.remove(ip(10, 0, 0, 3), 32), Some(3));
+        let keys: Vec<(u32, u8)> = t.entries.iter().map(|e| (e.0, e.1)).collect();
+        let mut sorted = keys.clone();
+        sorted.sort_by_key(|&(p, l)| (std::cmp::Reverse(l), p));
+        assert_eq!(keys, sorted);
+        assert_eq!(t.runs, vec![(32, 1), (16, 2), (8, 4)]);
+        assert_eq!(t.lookup(ip(10, 0, 0, 7)), Some(&1));
+        assert_eq!(t.lookup(ip(10, 0, 0, 3)), Some(&2));
+        assert_eq!(t.lookup(ip(9, 9, 9, 9)), Some(&5));
     }
 
     #[test]

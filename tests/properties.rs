@@ -9,9 +9,11 @@
 //!   self-verify and compose, and the sequence arithmetic is wrap-safe;
 //! * **netsim** — MMU byte conservation, per-seed fault determinism,
 //!   exact burst drops, monotone serialization time;
-//! * **pdp** — LPM agrees with a naive longest match, the first matching
-//!   ACL priority wins, register RMW is a sequential fold, hash units are
-//!   deterministic and masked, the rate-limited channel conserves bytes;
+//! * **pdp** — LPM agrees with a naive longest match across inserts and
+//!   removals, the first matching ACL priority wins, register RMW is a
+//!   sequential fold, hash units are deterministic and masked and equal the
+//!   bitwise CRC-32 of `seed ++ data`, the rate-limited channel conserves
+//!   bytes;
 //! * **storage and analytics** — every `EventStore` query path returns
 //!   exactly what a naive scan returns, also across `truncate(k)` (the
 //!   collector's hard-kill revert) and re-growth; the analytics ledger
@@ -42,7 +44,9 @@ use fet_netsim::time::tx_time_ns;
 use fet_packet::builder::{
     build_data_packet, classify, extract_flow, insert_seqtag, peek_seqtag, strip_seqtag, FrameKind,
 };
-use fet_packet::checksum::{crc32, internet_checksum, verify_internet_checksum, Checksum};
+use fet_packet::checksum::{
+    crc32, crc32_reference, internet_checksum, verify_internet_checksum, Checksum,
+};
 use fet_packet::event::{DropCode, EventDetail, EventRecord, EventType};
 use fet_packet::flow::FLOW_KEY_LEN;
 use fet_packet::seqtag::{gap_between, seq_before};
@@ -547,16 +551,35 @@ fn prefix_mask(len: u8) -> u32 {
 #[test]
 fn lpm_matches_naive_reference() {
     // Routes are unique per (prefix, len) — a later insert overwrites —
-    // so the longest match is unique and the values must agree.
+    // so the longest match is unique and the values must agree. Removals
+    // (how blackholes are injected) interleave with the inserts.
     for_cases(0x1B3, |case, rng| {
         let mut t: LpmTable<u32> = LpmTable::new();
         let mut routes: Vec<(u32, u8, u32)> = Vec::new();
-        for _ in 0..rng.next_below(40) {
-            let (addr, len, action) = (rng.next_u32(), rng.next_below(33) as u8, rng.next_u32());
-            let prefix = addr & prefix_mask(len);
-            routes.retain(|&(p, l, _)| (p, l) != (prefix, len));
-            routes.push((prefix, len, action));
-            t.insert(Ipv4Addr::from_u32(addr), len, action);
+        for step in 0..rng.next_below(60) {
+            if !routes.is_empty() && rng.chance(0.3) {
+                // Remove an installed route, named by any address inside it.
+                let (p, l, a) = routes.swap_remove(rng.next_below(routes.len() as u32) as usize);
+                let addr = p | (rng.next_u32() & !prefix_mask(l));
+                let got = t.remove(Ipv4Addr::from_u32(addr), l);
+                assert_eq!(got, Some(a), "case {case}: step {step} remove {p:#010x}/{l}");
+            } else if rng.chance(0.1) {
+                // Removing an absent route changes nothing.
+                let (addr, len) = (rng.next_u32(), rng.next_below(33) as u8);
+                let prefix = addr & prefix_mask(len);
+                if !routes.iter().any(|&(p, l, _)| (p, l) == (prefix, len)) {
+                    let got = t.remove(Ipv4Addr::from_u32(addr), len);
+                    assert_eq!(got, None, "case {case}: step {step} absent {prefix:#010x}/{len}");
+                }
+            } else {
+                let (addr, len, action) =
+                    (rng.next_u32(), rng.next_below(33) as u8, rng.next_u32());
+                let prefix = addr & prefix_mask(len);
+                routes.retain(|&(p, l, _)| (p, l) != (prefix, len));
+                routes.push((prefix, len, action));
+                t.insert(Ipv4Addr::from_u32(addr), len, action);
+            }
+            assert_eq!(t.len(), routes.len(), "case {case}: step {step}");
         }
         for _ in 0..between(rng, 1..50) {
             // Half the probes land inside an installed prefix.
@@ -623,6 +646,22 @@ fn hash_unit_deterministic_and_masked() {
         let a = h.hash_flow(&f);
         assert_eq!(a, h.hash_flow(&f), "case {case}");
         assert!(u64::from(a) < 1u64 << bits, "case {case}: {a:#x} exceeds {bits} bits");
+    });
+}
+
+#[test]
+fn hash_units_match_bitwise_crc32() {
+    // The table CRC equals the bitwise oracle, and a hash unit equals the
+    // oracle over `seed_be ++ data`, masked to its output width.
+    for_cases(0xC3A, |case, rng| {
+        let data = bytes(rng, 0..200);
+        assert_eq!(crc32(&data), crc32_reference(&data), "case {case}: len {}", data.len());
+        let (seed, bits) = (rng.next_u32(), between(rng, 1..33));
+        let mut seeded = seed.to_be_bytes().to_vec();
+        seeded.extend_from_slice(&data);
+        let want = (u64::from(crc32_reference(&seeded)) & ((1u64 << bits) - 1)) as u32;
+        let got = HashUnit::new("prop", seed, bits).hash_bytes(&data);
+        assert_eq!(got, want, "case {case}: seed {seed:#x}, {bits} bits, len {}", data.len());
     });
 }
 
