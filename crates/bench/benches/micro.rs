@@ -263,6 +263,44 @@ fn bench_full_monitor_path() {
     });
 }
 
+fn bench_storage() {
+    use fet_netsim::rng::Pcg32;
+    use fet_packet::event::ALL_EVENT_TYPES;
+    use netseer::{EventStore, Query, StoredEvent};
+
+    // One seeded 10k-event store: 4 devices, all six types, Zipf-ish
+    // flows (flow k with odds ~1/k^2), and 5 events per timestamp the way
+    // a delivered batch shares one.
+    let mut rng = Pcg32::new(0x5702E, 0);
+    let mut store = EventStore::new();
+    for i in 0..10_000u32 {
+        let mut record = ev(1_000 / (1 + rng.next_below(1_000)));
+        record.ty = ALL_EVENT_TYPES[rng.next_below(6) as usize];
+        let seq = u64::from(i);
+        let device = rng.next_below(4);
+        store.insert(StoredEvent { time_ns: seq / 5 * 1_000, device, epoch: 0, seq, record });
+    }
+    let mut n = 0u32;
+    bench("storage", "query_flow", 1, || {
+        n = n.wrapping_add(1);
+        black_box(store.query(&Query::any().flow(flow(n % 16))).len());
+    });
+    bench("storage", "query_device", 1, || {
+        n = n.wrapping_add(1);
+        black_box(store.query(&Query::any().device(n % 4)).len());
+    });
+    bench("storage", "query_type", 1, || {
+        n = n.wrapping_add(1);
+        black_box(store.query(&Query::any().ty(ALL_EVENT_TYPES[n as usize % 6])).len());
+    });
+    // 1% of the store's time span, sliding.
+    bench("storage", "query_window", 1, || {
+        n = n.wrapping_add(1);
+        let from = u64::from(n % 1_980) * 1_000;
+        black_box(store.query(&Query::any().window(from, from + 20_000)).len());
+    });
+}
+
 fn main() {
     bench_dedup();
     bench_interswitch();
@@ -272,4 +310,5 @@ fn main() {
     bench_path_table();
     bench_full_monitor_path();
     bench_switch_forward();
+    bench_storage();
 }

@@ -65,6 +65,10 @@ impl Query {
         self
     }
 
+    fn is_any(&self) -> bool {
+        self.flow.is_none() && self.device.is_none() && self.ty.is_none() && self.window.is_none()
+    }
+
     fn matches(&self, e: &StoredEvent) -> bool {
         self.flow.is_none_or(|f| e.record.flow == f)
             && self.device.is_none_or(|d| e.device == d)
@@ -77,15 +81,25 @@ impl Query {
 /// the collector's crash model checkpoints a length and reverts a hard
 /// kill with [`truncate`](Self::truncate) (see
 /// [`crate::recovery::Collector`]).
+///
+/// Each index maps a key to the ascending `u32` store positions of its
+/// events (a posting list), one index per query dimension.
 #[derive(Debug, Clone, Default)]
 pub struct EventStore {
     events: Vec<StoredEvent>,
-    by_flow: HashMap<FlowKey, Vec<usize>>,
-    by_device: HashMap<u32, Vec<usize>>,
-    /// Secondary index by ingress timestamp: window queries walk
-    /// `range(from..to)` instead of scanning every event, so a pure
-    /// `Query::window` costs O(log n + k) rather than O(n).
-    by_time: BTreeMap<u64, Vec<usize>>,
+    by_flow: HashMap<FlowKey, Vec<u32>>,
+    by_device: HashMap<u32, Vec<u32>>,
+    /// One list per [`EventType`], indexed by its discriminant.
+    by_type: [Vec<u32>; 6],
+    /// Positions by ingress timestamp: a window-only query walks
+    /// `range(from..to)` and sorts the hits, O(log n + k log k). One
+    /// `Vec` per timestamp, because the events of a batch share one.
+    by_time: BTreeMap<u64, Vec<u32>>,
+}
+
+/// The posting list of a key, empty when the key was never stored.
+fn postings(list: Option<&Vec<u32>>) -> &[u32] {
+    list.map(Vec::as_slice).unwrap_or_default()
 }
 
 impl EventStore {
@@ -95,10 +109,15 @@ impl EventStore {
     }
 
     /// Insert one event.
+    ///
+    /// # Panics
+    /// At 2³² events, the most that `u32` positions address.
     pub fn insert(&mut self, e: StoredEvent) {
-        let i = self.events.len();
+        let i = u32::try_from(self.events.len())
+            .expect("EventStore is full: u32 positions address at most 2^32 events");
         self.by_flow.entry(e.record.flow).or_default().push(i);
         self.by_device.entry(e.device).or_default().push(i);
+        self.by_type[e.record.ty as usize].push(i);
         self.by_time.entry(e.time_ns).or_default().push(i);
         self.events.push(e);
     }
@@ -107,7 +126,7 @@ impl EventStore {
     /// ascending order, so walking the dropped events newest-first pops
     /// each one off the tail of its index lists: O(dropped), not O(len).
     pub fn truncate(&mut self, len: usize) {
-        fn pop_last(v: Option<&mut Vec<usize>>) -> bool {
+        fn pop_last(v: Option<&mut Vec<u32>>) -> bool {
             let v = v.expect("every stored event is indexed");
             v.pop();
             v.is_empty()
@@ -119,6 +138,7 @@ impl EventStore {
             if pop_last(self.by_device.get_mut(&e.device)) {
                 self.by_device.remove(&e.device);
             }
+            self.by_type[e.record.ty as usize].pop();
             if pop_last(self.by_time.get_mut(&e.time_ns)) {
                 self.by_time.remove(&e.time_ns);
             }
@@ -132,43 +152,38 @@ impl EventStore {
         }
     }
 
-    /// Run a query. Uses the narrowest applicable index: flow, then
-    /// device, then the timestamp B-tree for window queries; only an
-    /// unconstrained (or type-only) query still scans.
+    /// Run a query; results are in store order, the same as a scan.
     ///
-    /// The time index yields candidates out of insertion order, so window
-    /// results are re-sorted by position to keep every index path
-    /// returning the same order as a scan.
+    /// Of the flow, device and type posting lists the query names, the
+    /// planner walks the shortest and checks each hit only against the
+    /// constraints that list does not already prove; when none is left,
+    /// the list is the answer and no event is read. A window-only query
+    /// walks the timestamp B-tree and sorts its hits by position. Only a
+    /// query with no filter at all visits every event.
     pub fn query(&self, q: &Query) -> Vec<&StoredEvent> {
-        if let Some(f) = q.flow {
-            let idx = self.by_flow.get(&f).map(Vec::as_slice).unwrap_or_default();
-            return self.filter_positions(idx.iter().copied(), q, false);
+        let plans = [
+            q.flow.map(|f| (postings(self.by_flow.get(&f)), Query { flow: None, ..*q })),
+            q.device.map(|d| (postings(self.by_device.get(&d)), Query { device: None, ..*q })),
+            q.ty.map(|t| (self.by_type[t as usize].as_slice(), Query { ty: None, ..*q })),
+        ];
+        if let Some((list, rest)) = plans.into_iter().flatten().min_by_key(|(l, _)| l.len()) {
+            let hits = list.iter().map(|&i| &self.events[i as usize]);
+            return if rest.is_any() {
+                hits.collect()
+            } else {
+                hits.filter(|e| rest.matches(e)).collect()
+            };
         }
-        if let Some(d) = q.device {
-            let idx = self.by_device.get(&d).map(Vec::as_slice).unwrap_or_default();
-            return self.filter_positions(idx.iter().copied(), q, false);
-        }
-        if let Some((from, to)) = q.window {
-            if from >= to {
-                return Vec::new();
+        match q.window {
+            Some((from, to)) if from < to => {
+                let mut hits: Vec<u32> =
+                    self.by_time.range(from..to).flat_map(|(_, v)| v.iter().copied()).collect();
+                hits.sort_unstable();
+                hits.into_iter().map(|i| &self.events[i as usize]).collect()
             }
-            let hits = self.by_time.range(from..to).flat_map(|(_, v)| v.iter().copied());
-            return self.filter_positions(hits, q, true);
+            Some(_) => Vec::new(),
+            None => self.events.iter().collect(),
         }
-        self.events.iter().filter(|e| q.matches(e)).collect()
-    }
-
-    fn filter_positions(
-        &self,
-        positions: impl Iterator<Item = usize>,
-        q: &Query,
-        resort: bool,
-    ) -> Vec<&StoredEvent> {
-        let mut hit: Vec<usize> = positions.filter(|&i| q.matches(&self.events[i])).collect();
-        if resort {
-            hit.sort_unstable();
-        }
-        hit.into_iter().map(|i| &self.events[i]).collect()
     }
 
     /// Total stored events.
@@ -189,16 +204,18 @@ impl EventStore {
     /// Distinct (device, flow) pairs for one event type — the unit compared
     /// against [`fet_netsim::GroundTruth::flow_events`] for coverage.
     pub fn flow_events(&self, ty: EventType) -> BTreeSet<(u32, FlowKey)> {
-        self.events
+        self.by_type[ty as usize]
             .iter()
-            .filter(|e| e.record.ty == ty)
-            .map(|e| (e.device, e.record.flow))
+            .map(|&i| {
+                let e = &self.events[i as usize];
+                (e.device, e.record.flow)
+            })
             .collect()
     }
 
     /// Count of events of one type.
     pub fn count(&self, ty: EventType) -> usize {
-        self.events.iter().filter(|e| e.record.ty == ty).count()
+        self.by_type[ty as usize].len()
     }
 
     /// Per-device, per-type event counts — the dashboard view an operator
@@ -309,6 +326,23 @@ mod tests {
         // Degenerate windows are empty, not panicking.
         assert!(s.query(&Query::any().window(20, 20)).is_empty());
         assert!(s.query(&Query::any().window(30, 10)).is_empty());
+    }
+
+    #[test]
+    fn type_query_after_truncate_returns_the_surviving_prefix() {
+        let mut s = store();
+        s.insert(ev(50, 1, EventType::Pause, 2));
+        s.insert(ev(60, 2, EventType::Congestion, 3));
+        let all = s.events().to_vec();
+        for k in (0..=all.len()).rev() {
+            s.truncate(k);
+            for ty in [EventType::Congestion, EventType::Pause, EventType::MmuDrop] {
+                let want: Vec<&StoredEvent> =
+                    all[..k].iter().filter(|e| e.record.ty == ty).collect();
+                assert_eq!(s.query(&Query::any().ty(ty)), want, "truncate({k}), {ty:?}");
+                assert_eq!(s.count(ty), want.len(), "truncate({k}), {ty:?}");
+            }
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ use fet_packet::builder::{
 use fet_packet::checksum::{
     crc32, crc32_reference, internet_checksum, verify_internet_checksum, Checksum,
 };
-use fet_packet::event::{DropCode, EventDetail, EventRecord, EventType};
+use fet_packet::event::{DropCode, EventDetail, EventRecord, EventType, ALL_EVENT_TYPES};
 use fet_packet::flow::FLOW_KEY_LEN;
 use fet_packet::seqtag::{gap_between, seq_before};
 use fet_packet::{FlowKey, IpProtocol, Ipv4Addr};
@@ -722,6 +722,23 @@ fn assert_queries_match(store: &EventStore, events: &[StoredEvent], rng: &mut Pc
     for _ in 0..16 {
         let q = random_query(rng);
         assert_eq!(store.query(&q), naive(events, &q), "case {case}: {q:?}");
+    }
+    // Every single-filter query, drawn from no rng: each one's index
+    // list is the whole answer, so nothing is re-checked.
+    let singles = (0..8)
+        .map(|f| Query::any().flow(flow(f)))
+        .chain((0..4).map(|d| Query::any().device(d)))
+        .chain(ALL_EVENT_TYPES.map(|t| Query::any().ty(t)))
+        .chain([(0, 1_000), (250, 500), (999, 1_000)].map(|(a, b)| Query::any().window(a, b)));
+    for q in singles {
+        assert_eq!(store.query(&q), naive(events, &q), "case {case}: {q:?}");
+    }
+    for ty in ALL_EVENT_TYPES {
+        let of_ty = naive(events, &Query::any().ty(ty));
+        assert_eq!(store.count(ty), of_ty.len(), "case {case}: count({ty:?})");
+        let pairs: BTreeSet<(u32, FlowKey)> =
+            of_ty.iter().map(|e| (e.device, e.record.flow)).collect();
+        assert_eq!(store.flow_events(ty), pairs, "case {case}: flow_events({ty:?})");
     }
 }
 
